@@ -4,6 +4,8 @@ Golden-section steps with successive parabolic interpolation: the parabola
 through the three best points proposes the next probe, and the golden-section
 fallback keeps worst-case progress guaranteed. Robust for the piecewise-smooth
 functions coordinate descent produces (one kink at zero, smooth elsewhere).
+The solver does not call it: `sgl.solver` solves each coordinate by Newton
+on its stationarity equation, which is exact to machine precision.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ penalty plus an elementwise one-norm penalty.
 The solver cycles over coefficient blocks. Each visit first runs a cheap
 exact test deciding whether the whole block is zero at the optimum; active
 blocks are then minimized by repeated one-coordinate updates, each either
-screened to zero or solved by a bracketed scalar search. A fixed point of
-these rules is a global optimum of the convex criterion.
+screened to zero or solved to machine precision by safeguarded Newton on
+its stationarity equation. A fixed point of these rules is a global optimum
+of the convex criterion.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .model import (
     PenaltySpec,
     _objective_from_residual,
 )
-from .scalar_opt import minimize_scalar
 
 __all__ = [
     "GroupScreenReport",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+# A coordinate solve takes at most 8 passes of its Newton loop on the
+# benchmark's paths and 10 on adversarial draws (csq down to 1e-300, the
+# penalties cancelling |b|); the cap only guards against a defect
+_NEWTON_MAX_STEPS = 100
 
 
 def soft_threshold(z, lam):
@@ -89,8 +93,8 @@ class SolverOptions:
 
     A fit is declared converged when a full sweep moves no coefficient by
     more than ``outer_tol`` and the worst first-order violation is below
-    ``5 * outer_tol * max(1, ||X'y||_inf)``. ``inner_tol=None`` lets the
-    scalar search pick its bracket-scaled default.
+    ``5 * outer_tol * max(1, ||X'y||_inf)``. Each coordinate is solved to
+    machine precision, so ``inner_tol`` is validated but changes no result.
     """
 
     outer_tol: float = 1e-7
@@ -160,7 +164,7 @@ def orthonormal_group_update(c, penalty: PenaltySpec, w: float) -> np.ndarray:
 
 def _solve_coordinate(
     b: float, colsq: float, csq: float, lam1w: float, lam2: float,
-    inner_tol: float | None, old: float, skip_move: float = 0.0,
+    old: float, skip_move: float = 0.0,
 ) -> float:
     """Minimize the criterion over one coordinate of one block.
 
@@ -168,9 +172,9 @@ def _solve_coordinate(
     the column's squared norm, ``csq`` the squared norm of the rest of the
     block. When the first-order residual at the current value bounds the
     possible move below ``skip_move`` (the curvature is at least ``colsq``),
-    the current value is kept without searching. Returns the restricted
-    minimizer to near machine precision, so it is never worse than the
-    current value.
+    the current value is kept without solving. Otherwise returns the
+    restricted minimizer to machine precision, so it is never worse than
+    the current value.
     """
     if colsq <= 0.0:
         return 0.0
@@ -191,49 +195,56 @@ def _solve_coordinate(
     elif abs(b) - lam2 <= skip_move * colsq:
         return 0.0
 
-    def q(t: float) -> float:
-        return (
-            0.5 * colsq * t * t
-            - b * t
-            + lam1w * math.sqrt(t * t + csq)
-            + lam2 * abs(t)
-        )
-
-    # the unpenalized minimizer is b/colsq, penalties only shrink toward
-    # zero, so the minimizer lies between 0 and b/colsq
-    apex = b / max(colsq, 1e-12)
-    lo = min(0.0, apex)
-    hi = max(0.0, apex)
-    pad = 0.01 * (hi - lo) + 1e-12 * (1.0 + abs(apex))
-    found = minimize_scalar(q, lo - pad, hi + pad, inner_tol)
-
-    # a value-based search cannot place the argmin more tightly than about
-    # sqrt(eps), so polish it with safeguarded Newton on the stationarity
-    # equation, whose left side is strictly increasing. With csq > 0 the
-    # group term is flat at zero, so zero is optimal only when |b| <= lam2,
-    # screened above; the root on the sign(b) side is the exact minimizer.
+    # With csq > 0 the group term is flat at zero, so zero is optimal only
+    # when |b| <= lam2, screened above; the minimizer is the root on the
+    # sign(b) side of the stationarity equation
+    #     colsq * u - gap + lam1w * u / r = 0,  r = sqrt(u^2 + csq),
+    # in u = |theta|, with gap = |b| - lam2 > 0. Its left side is strictly
+    # increasing and concave, so Newton from the left never passes the
+    # root, and one step from the right lands left of it.
     mag = abs(b)
     side = 1.0 if b > 0.0 else -1.0
-    lo_u, hi_u = 0.0, mag / colsq
-    u = min(max(side * found.argmin, lo_u), hi_u)
-    for _ in range(100):
+    gap = mag - lam2
+    lo_u, hi_u = 0.0, gap / colsq
+    u = min(max(side * old, lo_u), hi_u)
+    step = 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
         radius = math.sqrt(u * u + csq)
-        slope = colsq * u - mag + lam2 + lam1w * u / radius
+        group = lam1w * u / radius
+        slope = colsq * u - mag + lam2 + group
         # below the evaluation noise of its own terms the slope carries no
         # sign information and the root is resolved to machine precision
-        if abs(slope) <= 4e-16 * (colsq * u + mag + lam2 + lam1w):
+        if abs(slope) <= 4e-16 * (colsq * u + mag + lam2 + group):
             break
         if slope > 0.0:
             hi_u = u
         else:
             lo_u = u
-        curve = colsq + lam1w * csq / (radius * radius * radius)
+        # csq / radius**3 without the cube, which underflows to zero at
+        # small u for csq below about 1e-200
+        curve = colsq + lam1w * (csq / radius) / radius / radius
         nxt = u - slope / curve
-        if not lo_u < nxt < hi_u:
-            nxt = 0.5 * (lo_u + hi_u)
+        inside = lo_u < nxt < hi_u
+        # A step from the left longer than the last one means Newton is
+        # climbing the group term's bend, one step per factor of 1.5 when
+        # csq is tiny against the root. Then, or off the bracket, bisect
+        # between the evaluated bracket and closed-form bounds on the root
+        # (their rounding only steers the iterate): the tangent at zero
+        # crosses zero below the root; the group term lies in [0, lam1w],
+        # below lam1w by at most lam1w * csq / (2 u^2), and alone reaches
+        # gap beyond the root when lam1w > gap.
+        if not inside or (slope < 0.0 and abs(nxt - u) > step > 0.0):
+            excess = (gap - lam1w) / colsq
+            low = max(lo_u, excess, gap / (colsq + lam1w / math.sqrt(csq)))
+            high = min(hi_u, max(2.0 * excess, (lam1w * csq / colsq) ** (1 / 3)))
+            if lam1w > gap:
+                high = min(high, gap * math.sqrt(csq / (lam1w - gap) / (lam1w + gap)))
+            mid = 0.5 * (low + high)
+            nxt = max(nxt, mid) if inside else mid
         if abs(nxt - u) <= 4e-16 * abs(u):
             u = nxt
             break
+        step = abs(nxt - u)
         u = nxt
     return side * u
 
@@ -246,9 +257,12 @@ def coordinate_update(
 
     ``r_j`` must be the residual excluding coordinate ``j``'s own
     contribution. Returns zero when the column's correlation with ``r_j``
-    falls below the one-norm level; otherwise runs the bracketed scalar
-    search on the coordinate restriction of the criterion.
+    falls below the one-norm level; otherwise solves the coordinate
+    restriction of the criterion to machine precision. ``inner_tol`` must
+    be positive or None and does not change the result.
     """
+    if inner_tol is not None and not (inner_tol > 0.0):
+        raise ValueError(f"inner_tol must be positive, got {inner_tol}")
     Z = np.asarray(Z, dtype=float)
     r_j = np.asarray(r_j, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -261,13 +275,13 @@ def coordinate_update(
     b = float(col @ r_j)
     csq = max(float(theta @ theta) - float(theta[j]) ** 2, 0.0)
     return _solve_coordinate(
-        b, colsq, csq, penalty.lambda1 * float(w), penalty.lambda2, inner_tol, float(theta[j])
+        b, colsq, csq, penalty.lambda1 * float(w), penalty.lambda2, float(theta[j])
     )
 
 
 def _block_minimize(
     a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray,
-    lam1w: float, lam2: float, block_tol: float, inner_tol: float | None,
+    lam1w: float, lam2: float, block_tol: float,
     skip_move: float = 0.0, max_passes: int = 500,
 ) -> np.ndarray:
     """Minimize the criterion over one block, the rest of the fit fixed.
@@ -305,7 +319,7 @@ def _block_minimize(
             b = float(a0[j]) - float(row @ theta) + colsq * old
             csq = max(normsq - old * old, 0.0)
             new = _solve_coordinate(
-                b, colsq, csq, lam1w, lam2, inner_tol, old, skip_move
+                b, colsq, csq, lam1w, lam2, old, skip_move
             )
             if new != old:
                 theta[j] = new
@@ -383,8 +397,7 @@ def fit(
                 new_bl = orthonormal_group_update(a, penalty, problem.weights[ell])
             else:
                 new_bl = _block_minimize(
-                    a, grams[ell], bl, lam1w, lam2, block_tol,
-                    opts.inner_tol, skip_move=block_tol,
+                    a, grams[ell], bl, lam1w, lam2, block_tol, skip_move=block_tol,
                 )
             if bool(np.any(new_bl != bl)):
                 before = _local_objective(r_block, Z, bl, lam1w, lam2)

@@ -1,10 +1,14 @@
 """Coordinate-descent solver: zero screens, block updates, full fits, and
 first-order optimality reporting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
+import sgl.solver as solver_module
 from sgl import (
     OracleOptions,
     PenaltySpec,
@@ -23,6 +27,8 @@ from sgl import (
     screen_group_gl,
     soft_threshold,
 )
+from sgl.path import PathSpec, fit_path
+from sgl.sim import SimConfig, generate
 
 from _reference import (
     box_grid_min,
@@ -258,6 +264,168 @@ def test_coordinate_update_validates_shapes():
         coordinate_update(0, Z, np.ones(4), np.zeros(3), PenaltySpec(0.1, 0.1), 1.0)
     with pytest.raises(ValueError):
         coordinate_update(2, Z, np.ones(4), np.zeros(2), PenaltySpec(0.1, 0.1), 1.0)
+
+
+# ----------------------------------------------------------- coordinate solve
+
+EPS = float(np.finfo(float).eps)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def coordinate_cases(draw):
+    """Arguments of one coordinate solve: b, colsq, csq, lam1w, lam2, old."""
+    b = draw(_log_uniform(-6, 4)) * draw(st.sampled_from([-1.0, 1.0]))
+    colsq = draw(_log_uniform(-4, 4))
+    csq = draw(_log_uniform(-300, 8))
+    lam2 = draw(st.just(0.0) | _log_uniform(-6, 4))
+    gap = abs(b) - lam2
+    lam1w = draw(st.one_of(
+        st.just(0.0),
+        _log_uniform(-6, 4),
+        # the group term's ceiling (nearly) cancels |b| - lam2, which puts
+        # the root far out on the bend of the group term when csq is tiny
+        st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-6]).map(
+            lambda rel: max(gap * (1.0 + rel), 0.0)
+        ),
+    ))
+    side = math.copysign(1.0, b)
+    apex = abs(b) / colsq
+    old = draw(st.one_of(
+        st.just(0.0),
+        _log_uniform(-6, 4).map(lambda v: -side * v),  # wrong-signed
+        _log_uniform(-12, 2).map(lambda v: side * apex * (1.0 + v)),  # beyond |b|/colsq
+        st.integers(-(2**20), 2**20).map(lambda k: k * 5e-324),  # denormal-small
+        st.floats(0.0, 1.0).map(lambda v: side * apex * v),  # inside the bracket
+    ))
+    return b, colsq, csq, lam1w, lam2, old
+
+
+def _stationarity_root(b, colsq, csq, lam1w, lam2):
+    """The coordinate minimizer from scipy's Brent root finder on the
+    stationarity equation colsq*u - |b| + lam2 + lam1w*u/sqrt(u^2 + csq) = 0
+    in u = |theta| >= 0, signed like b."""
+    mag = abs(b)
+    if mag <= lam2:
+        return 0.0
+    if lam1w == 0.0:
+        return math.copysign((mag - lam2) / colsq, b)
+
+    def slope(u):
+        return colsq * u - mag + lam2 + lam1w * u / math.sqrt(u * u + csq)
+
+    root = brentq(slope, 0.0, mag / colsq, xtol=5e-324, rtol=4 * EPS, maxiter=2000)
+    return math.copysign(root, b)
+
+
+def _root_noise(root, b, colsq, csq, lam1w, lam2):
+    """How far rounding in the stationarity equation's terms can move its
+    root, to first order: a few ulps of the terms over the derivative.
+    Below 1e-13 * |root| unless the penalties nearly cancel |b|."""
+    u = abs(root)
+    radius = math.sqrt(u * u + csq)
+    terms = colsq * u + abs(b) + lam2 + lam1w * u / radius
+    derivative = colsq + lam1w * (csq / radius) / radius / radius
+    return 8.0 * EPS * terms / derivative
+
+
+def _restriction_rise(new, old, b, colsq, csq, lam1w, lam2):
+    """q(new) - q(old) for the criterion restricted to the coordinate,
+    q(t) = colsq*t^2/2 - b*t + lam1w*sqrt(t^2 + csq) + lam2*|t|, in a
+    factored form free of the cancellation between the two values, and
+    the rounding bound of that form."""
+    r_new, r_old = math.sqrt(new * new + csq), math.sqrt(old * old + csq)
+    smooth = 0.5 * colsq * (new + old) - b + lam1w * (new + old) / (r_new + r_old)
+    rise = (new - old) * smooth + lam2 * (abs(new) - abs(old))
+    scale = abs(new - old) * (
+        0.5 * colsq * abs(new + old) + abs(b) + lam1w + lam2
+    )
+    return rise, 8.0 * EPS * scale
+
+
+def test_coordinate_solve_survives_a_tiny_rest_of_block_norm():
+    # radius**3 underflows to zero below csq of about 1e-200; the curvature
+    # must be formed without the cube wherever Newton evaluates it
+    solve = solver_module._solve_coordinate
+    assert solve(3.0, 1.0, 1e-300, 1.0, 0.5, 0.0) == 1.5
+    assert solve(3.0, 1.0, 1e-300, 1.0, 0.5, 1e-200) == 1.5
+    assert solve(-3.0, 1.0, 1e-300, 1.0, 0.5, -1e-200) == -1.5
+
+
+@given(case=coordinate_cases())
+def test_coordinate_solve_matches_an_independent_root_finder(case):
+    b, colsq, csq, lam1w, lam2, old = case
+    got = solver_module._solve_coordinate(b, colsq, csq, lam1w, lam2, old)
+    ref = _stationarity_root(b, colsq, csq, lam1w, lam2)
+    noise = _root_noise(ref, b, colsq, csq, lam1w, lam2)
+    if abs(got - ref) > 1e-13 * abs(ref) + noise:
+        # the equation can be flat to rounding over a long stretch (the
+        # penalties cancelling |b| with csq tiny); there the result must
+        # still solve it to the rounding of its terms, and both roots then
+        # minimize the criterion equally, to its own rounding
+        u = abs(got)
+        group = lam1w * u / math.sqrt(u * u + csq)
+        slope = colsq * u - abs(b) + lam2 + group
+        assert abs(slope) <= 8.0 * EPS * (colsq * u + abs(b) + lam2 + group)
+        rise, rounding = _restriction_rise(got, ref, b, colsq, csq, lam1w, lam2)
+        assert abs(rise) <= rounding
+    rise, rounding = _restriction_rise(got, old, b, colsq, csq, lam1w, lam2)
+    assert rise <= rounding
+
+
+@given(case=coordinate_cases())
+def test_coordinate_solve_never_reaches_the_newton_cap(case):
+    free = solver_module._solve_coordinate(*case)
+    cap = solver_module._NEWTON_MAX_STEPS
+    try:
+        solver_module._NEWTON_MAX_STEPS = 20
+        capped = solver_module._solve_coordinate(*case)
+    finally:
+        solver_module._NEWTON_MAX_STEPS = cap
+    assert capped.hex() == free.hex()
+
+
+def _a6_style_paths():
+    opts = SolverOptions(outer_tol=1e-5, inner_tol=1e-8)
+    betas = []
+    for seed in (1, 2):
+        data = generate(SimConfig(seed=seed))
+        prob = build_problem(data.y, data.X, data.config.blocks)
+        path = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
+        betas.append(np.array([pt.coefficients.beta for pt in path.points]))
+    return np.array(betas)
+
+
+def test_newton_cap_is_never_reached_on_benchmark_paths(monkeypatch):
+    free = _a6_style_paths()
+    solve = solver_module._solve_coordinate
+    case = (1.0, 1.0, 1.0, 0.5, 0.1, 0.2)
+    uncapped = solve(*case)
+    monkeypatch.setattr(solver_module, "_NEWTON_MAX_STEPS", 20)
+    assert np.array_equal(_a6_style_paths(), free)
+    # the patched cap is the one the solver reads: a single step stops short
+    monkeypatch.setattr(solver_module, "_NEWTON_MAX_STEPS", 1)
+    assert solve(*case) != uncapped
+
+
+def test_inner_tol_does_not_change_results():
+    rng = np.random.default_rng(44)
+    prob = random_problem(rng, 40, [4, 4, 4])
+    lmax = lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.1 * lmax, 0.1 * lmax)
+    loose = fit(prob, pen, SolverOptions(inner_tol=1e-8))
+    default = fit(prob, pen, SolverOptions(inner_tol=None))
+    assert np.array_equal(loose.coefficients.beta, default.coefficients.beta)
+    Z = prob.X[:, prob.slices[0]]
+    theta = loose.coefficients.beta[prob.slices[0]]
+    r_j = prob.y - prob.X @ loose.coefficients.beta + Z[:, 0] * theta[0]
+    free = coordinate_update(0, Z, r_j, theta, pen, 1.0)
+    assert coordinate_update(0, Z, r_j, theta, pen, 1.0, inner_tol=1e-3) == free
+    with pytest.raises(ValueError):
+        coordinate_update(0, Z, r_j, theta, pen, 1.0, inner_tol=0.0)
 
 
 # ----------------------------------------------------- orthonormal_group_update
