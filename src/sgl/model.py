@@ -103,6 +103,7 @@ class GroupedProblem:
             raise ValueError("x_means must have one entry per column")
         ends = np.cumsum(sizes)
         slices = tuple(slice(int(e - s), int(e)) for s, e in zip(sizes, ends))
+        starts = _frozen(ends - sizes)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "group_sizes", sizes)
@@ -110,6 +111,7 @@ class GroupedProblem:
         object.__setattr__(self, "y_mean", float(self.y_mean))
         object.__setattr__(self, "x_means", _frozen(x_means))
         object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def n(self) -> int:
@@ -137,8 +139,7 @@ class GroupedProblem:
 
     def active_groups(self, beta) -> np.ndarray:
         """Boolean mask of groups holding at least one nonzero coefficient."""
-        b = _beta_array(self, beta)
-        return np.array([bool(np.any(b[sl] != 0.0)) for sl in self.slices])
+        return _group_norms(self, _beta_array(self, beta), np.inf) != 0.0
 
 
 @dataclass(frozen=True)
@@ -226,15 +227,26 @@ def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "
     )
 
 
+def _group_norms(problem: GroupedProblem, v: np.ndarray, order: float = 2) -> np.ndarray:
+    """Norm of each group's segment of the length-p vector ``v``, in group order.
+
+    ``order`` is 2 (Euclidean) or ``np.inf`` (largest magnitude). fit's
+    screen of all groups at once, ``kkt_residual``, ``lambda_max`` and the
+    objective form their group norms here. At beta = 0 fit's first screen
+    and ``lambda_max`` therefore evaluate the same array with the same
+    arithmetic, which makes the all-zero boundary exact.
+    """
+    if order == 2:
+        return np.sqrt(np.add.reduceat(v * v, problem._starts))
+    return np.maximum.reduceat(np.abs(v), problem._starts)
+
+
 def _objective_from_residual(
     problem: GroupedProblem, residual: np.ndarray, beta: np.ndarray, penalty: PenaltySpec
 ) -> float:
     # fsum keeps sweep-over-sweep objective comparisons meaningful at 1e-12 scale
     rss = math.fsum((residual * residual).tolist())
-    group_term = math.fsum(
-        float(w) * float(np.linalg.norm(beta[sl]))
-        for sl, w in zip(problem.slices, problem.weights)
-    )
+    group_term = math.fsum((problem.weights * _group_norms(problem, beta)).tolist())
     l1 = math.fsum(np.abs(beta).tolist())
     return 0.5 * rss + penalty.lambda1 * group_term + penalty.lambda2 * l1
 

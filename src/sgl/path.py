@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coefficients, GroupedProblem, PenaltySpec
+from .model import Coefficients, GroupedProblem, PenaltySpec, _group_norms
 from .solver import SolverOptions, fit, soft_threshold
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
@@ -68,51 +68,49 @@ class PathResult:
         object.__setattr__(self, "lambdas", lams)
 
 
-def _block_passes(a: np.ndarray, w: float, alpha: float, lam: float) -> bool:
-    # evaluate with the exact expressions the solver's screen uses, so a
-    # passing level screens to zero under fit without an ulp of slack
-    g = soft_threshold(a, alpha * lam)
-    return bool(np.linalg.norm(g) <= ((1.0 - alpha) * lam) * w)
-
-
 def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     """Smallest total level at which every block's zero test passes at beta = 0.
 
-    Closed form at the mixing endpoints; in between, the per-block pass
-    condition is monotone in the level, so the root is found by bisection
-    to 1e-10 relative width, returning the passing endpoint (fitting at the
-    returned level therefore yields all zeros).
+    Closed form at the mixing endpoints; in between, the pass condition is
+    monotone in the level, so the root is found by bisection to 1e-10
+    relative width. The returned level always passes the test exactly as
+    fit's first screen evaluates it, so fitting there yields all zeros.
     """
     alpha = float(mixing)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
-    # per-block products, computed exactly as fit computes them at beta = 0
-    blocks = [
-        (problem.X[:, sl].T @ problem.y, float(w))
-        for sl, w in zip(problem.slices, problem.weights)
-    ]
-    sup = max(float(np.abs(a).max()) for a, _ in blocks)
+    # X'y and its group norms, formed as fit's first screen forms them at
+    # beta = 0 (same product, same group-norm kernel, same level split)
+    grad = problem.X.T @ problem.y
+    sup = float(np.abs(grad).max())
     if sup == 0.0:
         return 0.0
     if alpha == 1.0:
         return sup
+
+    def passes(lam: float) -> bool:
+        shrunk = soft_threshold(grad, alpha * lam)
+        radius = ((1.0 - alpha) * lam) * problem.weights
+        return bool((_group_norms(problem, shrunk) <= radius).all())
+
+    norms = _group_norms(problem, grad)
     if alpha == 0.0:
-        return max(float(np.linalg.norm(a)) / w for a, w in blocks)
+        # norm / w * w may round an ulp above the norm; step to the passing side
+        level = float((norms / problem.weights).max())
+        while not passes(level):
+            level = float(np.nextafter(level, np.inf))
+        return level
     # per-block passing levels: a level large enough that either the shrunk
     # vector vanishes or its norm is inside the group radius; doubled so the
     # starting point passes with margin, not by an ulp
-    hi = 0.0
-    for a, w in blocks:
-        bound = min(
-            float(np.linalg.norm(a)) / ((1.0 - alpha) * w),
-            float(np.abs(a).max()) / alpha,
-        )
-        hi = max(hi, bound)
-    hi *= 2.0
+    hi = 2.0 * float(np.minimum(
+        norms / ((1.0 - alpha) * problem.weights),
+        _group_norms(problem, grad, np.inf) / alpha,
+    ).max())
     lo = 0.0
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        if all(_block_passes(a, w, alpha, mid) for a, w in blocks):
+        if passes(mid):
             hi = mid
         else:
             lo = mid

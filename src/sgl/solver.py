@@ -1,12 +1,13 @@
 """Blockwise coordinate descent for least squares under a group two-norm
 penalty plus an elementwise one-norm penalty.
 
-The solver cycles over coefficient blocks. Each visit first runs a cheap
-exact test deciding whether the whole block is zero at the optimum; active
-blocks are then minimized by repeated one-coordinate updates, each either
-screened to zero or solved to machine precision by safeguarded Newton on
-its stationarity equation. A fixed point of these rules is a global optimum
-of the convex criterion.
+The solver cycles over a working set of coefficient blocks. Each visit
+first runs a cheap exact test deciding whether the whole block is zero at
+the optimum; active blocks are then minimized by repeated one-coordinate
+updates, each either screened to zero or solved to machine precision by
+safeguarded Newton on its stationarity equation. Blocks outside the working
+set stay zero and are screened all at once whenever the working set settles.
+A fixed point of these rules is a global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model import (
     FitResult,
     GroupedProblem,
     PenaltySpec,
+    _group_norms,
     _objective_from_residual,
 )
 
@@ -91,10 +93,12 @@ class KktReport:
 class SolverOptions:
     """Convergence controls for :func:`fit`.
 
-    A fit is declared converged when a full sweep moves no coefficient by
-    more than ``outer_tol`` and the worst first-order violation is below
-    ``5 * outer_tol * max(1, ||X'y||_inf)``. Each coordinate is solved to
-    machine precision, so ``inner_tol`` is validated but changes no result.
+    A fit is declared converged when a sweep over its working set moves no
+    coefficient by more than ``outer_tol``, a screen of every other group
+    finds none failing the zero test, and the worst first-order violation
+    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. ``max_sweeps`` caps
+    the working-set sweeps. Each coordinate is solved to machine precision,
+    so ``inner_tol`` is validated but changes no result.
     """
 
     outer_tol: float = 1e-7
@@ -342,6 +346,14 @@ def _local_objective(r_block: np.ndarray, Z: np.ndarray, theta: np.ndarray,
     )
 
 
+def _screen(problem: GroupedProblem, res: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
+    """Mask of the groups failing the exact zero test at residual ``res``,
+    all groups at once. Only meaningful for zero blocks, whose partial
+    residual is ``res`` itself."""
+    shrunk = soft_threshold(problem.X.T @ res, penalty.lambda2)
+    return _group_norms(problem, shrunk) > penalty.lambda1 * problem.weights
+
+
 def fit(
     problem: GroupedProblem,
     penalty: PenaltySpec,
@@ -350,12 +362,18 @@ def fit(
 ) -> FitResult:
     """Solve the penalized least-squares problem by blockwise coordinate descent.
 
-    Sweeps cyclically over groups; each visit zeroes the block when the
-    exact test allows it and otherwise minimizes over the block. Block
-    updates are accepted only when they do not increase the criterion, so
-    the objective is nonincreasing sweep over sweep. With both penalties
-    zero this is plain least squares; a rank-deficient design then sets
-    ``degenerate`` (the returned solution is one minimizer among many).
+    Sweeps cyclically over a working set of groups: those nonzero at the
+    start plus those failing the exact zero test there. Each visit zeroes
+    the block when the test allows it and otherwise minimizes over the
+    block; every other group stays exactly zero. When a sweep moves no
+    coefficient by more than ``outer_tol``, all other groups are screened
+    at once at the current residual, and any that fail the zero test join
+    the working set; once none do, the fit stops if its first-order
+    violations pass the gate of :class:`SolverOptions`. Block updates are
+    accepted only when they do not increase the criterion, so the objective
+    is nonincreasing sweep over sweep. With both penalties zero this is
+    plain least squares; a rank-deficient design then sets ``degenerate``
+    (the returned solution is one minimizer among many).
     """
     opts = opts or SolverOptions()
     X, y = problem.X, problem.y
@@ -366,17 +384,15 @@ def fit(
         beta = np.array(problem.coefficients(warm).beta, dtype=float)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     slices = problem.slices
-    grams = [X[:, sl].T @ X[:, sl] for sl in slices]
+    # block Grams (and the orthonormality check) are built on a block's
+    # first minimization, so groups that never enter cost nothing
+    grams: list[np.ndarray | None] = [None] * problem.n_groups
     ortho = [False] * problem.n_groups
-    if opts.orthonormal_fast_path:
-        for ell, gram in enumerate(grams):
-            ortho[ell] = bool(
-                np.abs(gram - np.eye(gram.shape[0])).max() <= _ORTHO_TOL
-            )
     kkt_gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(X.T @ y).max()))
     block_tol = opts.outer_tol / 10.0
 
     res = y - X @ beta if beta.any() else y.copy()
+    work = problem.active_groups(beta) | _screen(problem, res, penalty)
     history = [_objective_from_residual(problem, res, beta, penalty)]
     converged = False
     max_delta = 0.0
@@ -384,7 +400,8 @@ def fit(
     for _ in range(opts.max_sweeps):
         sweeps += 1
         max_delta = 0.0
-        for ell, sl in enumerate(slices):
+        for ell in np.flatnonzero(work):
+            sl = slices[ell]
             Z = X[:, sl]
             bl = beta[sl]
             r_block = res + Z @ bl if bl.any() else res
@@ -393,12 +410,18 @@ def fit(
             g = soft_threshold(a, lam2)
             if float(np.linalg.norm(g)) <= lam1w:
                 new_bl = np.zeros(a.size)
-            elif ortho[ell]:
-                new_bl = orthonormal_group_update(a, penalty, problem.weights[ell])
             else:
-                new_bl = _block_minimize(
-                    a, grams[ell], bl, lam1w, lam2, block_tol, skip_move=block_tol,
-                )
+                if grams[ell] is None:
+                    grams[ell] = Z.T @ Z
+                    ortho[ell] = opts.orthonormal_fast_path and bool(
+                        np.abs(grams[ell] - np.eye(a.size)).max() <= _ORTHO_TOL
+                    )
+                if ortho[ell]:
+                    new_bl = orthonormal_group_update(a, penalty, problem.weights[ell])
+                else:
+                    new_bl = _block_minimize(
+                        a, grams[ell], bl, lam1w, lam2, block_tol, skip_move=block_tol,
+                    )
             if bool(np.any(new_bl != bl)):
                 before = _local_objective(r_block, Z, bl, lam1w, lam2)
                 after = _local_objective(r_block, Z, new_bl, lam1w, lam2)
@@ -413,6 +436,10 @@ def fit(
         res = y - X @ beta
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if max_delta <= opts.outer_tol:
+            entering = _screen(problem, res, penalty) & ~work
+            if entering.any():
+                work |= entering
+                continue
             report = kkt_residual(problem, beta, penalty)
             if report.worst_violation <= kkt_gate or max_delta <= 1e-4 * opts.outer_tol:
                 converged = True
@@ -453,37 +480,28 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     All entries vanish exactly at an optimum.
     """
     b = problem.coefficients(beta).beta
-    res = problem.y - problem.X @ b
+    grad = problem.X.T @ (problem.y - problem.X @ b)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
-    n_groups = problem.n_groups
-    per_group = np.zeros(n_groups)
-    per_coord = np.zeros(problem.p)
-    active = np.zeros(n_groups, dtype=bool)
-    for ell, sl in enumerate(problem.slices):
-        gvec = problem.X[:, sl].T @ res
-        bl = b[sl]
-        lam1w = lam1 * float(problem.weights[ell])
-        nonzero = bl != 0.0
-        if bool(nonzero.any()):
-            active[ell] = True
-            stat = gvec.copy()
-            if lam1w > 0.0:
-                stat -= lam1w * (bl / float(np.linalg.norm(bl)))
-            viol = np.empty(bl.size)
-            viol[nonzero] = np.abs(stat[nonzero] - lam2 * np.sign(bl[nonzero]))
-            viol[~nonzero] = np.maximum(np.abs(stat[~nonzero]) - lam2, 0.0)
-            per_coord[sl] = viol
-            per_group[ell] = float(viol.max())
-        else:
-            g = soft_threshold(gvec, lam2)
-            if lam1w > 0.0:
-                per_group[ell] = max(0.0, float(np.linalg.norm(g)) - lam1w)
-            else:
-                per_group[ell] = float(np.abs(g).max()) if g.size else 0.0
-    worst = float(per_group.max()) if n_groups else 0.0
+    active = problem.active_groups(b)
+    sizes = problem.group_sizes
+    # zero blocks: the soft-thresholded gradient against the group radius
+    shrunk = soft_threshold(grad, lam2)
+    stat = grad
+    if lam1 > 0.0:
+        outside = np.maximum(_group_norms(problem, shrunk) - lam1 * problem.weights, 0.0)
+        # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||
+        norms = np.where(active, _group_norms(problem, b), 1.0)
+        stat = grad - np.repeat(lam1 * problem.weights, sizes) * (b / np.repeat(norms, sizes))
+    else:
+        outside = _group_norms(problem, shrunk, np.inf)
+    viol = np.where(
+        b != 0.0, np.abs(stat - lam2 * np.sign(b)), np.maximum(np.abs(stat) - lam2, 0.0)
+    )
+    per_coord = np.where(np.repeat(active, sizes), viol, 0.0)
+    per_group = np.where(active, _group_norms(problem, per_coord, np.inf), outside)
     return KktReport(
         per_group=per_group,
         per_coordinate=per_coord,
         active=active,
-        worst_violation=worst,
+        worst_violation=float(per_group.max()),
     )

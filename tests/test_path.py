@@ -92,6 +92,22 @@ def test_level_boundary_is_inclusive_for_unit_weights(alpha):
     assert at_level.coefficients.n_nonzero == 0
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_level_boundary_is_exact_for_unequal_groups(alpha):
+    # groups of 17 and 40 put the group norms past the short sums, and
+    # sqrt-size weights make the level a rounded quotient at alpha = 0; on
+    # this draw the quotient times the weight rounds below the group norm
+    rng = np.random.default_rng(80)
+    prob = random_problem(rng, 80, [1, 3, 17, 40], weight_mode="sqrt-size")
+    level = lambda_max(prob, alpha)
+    at_level = fit(prob, _split(alpha, level))
+    assert at_level.coefficients.n_nonzero == 0
+    assert at_level.sweeps == 1 and at_level.converged
+    assert at_level.kkt.worst_violation == 0.0
+    below = fit(prob, _split(alpha, 0.999 * level))
+    assert prob.active_groups(below.coefficients).any()
+
+
 def test_level_rejects_bad_mixing():
     rng = np.random.default_rng(55)
     prob = random_problem(rng, 10, [2])

@@ -35,6 +35,7 @@ from _reference import (
     closed_form_block,
     coordinate_restriction,
     dense_scan,
+    kkt_reference,
     lasso_cd,
     least_squares,
     random_problem,
@@ -645,6 +646,57 @@ def test_solver_options_validation():
         SolverOptions(inner_tol=-1e-9)
 
 
+def _zero_test_passes(prob, res, pen, sl, w):
+    # the block zero test written out for one group, independently of fit
+    a = prob.X[:, sl].T @ res
+    shrunk = np.sign(a) * np.maximum(np.abs(a) - pen.lambda2, 0.0)
+    return float(np.linalg.norm(shrunk)) <= pen.lambda1 * float(w)
+
+
+def test_fit_on_a_working_set_screens_out_every_zero_group(monkeypatch):
+    # many groups of 5 plus a group of 17 and two singletons, few of them
+    # ever active: most groups are never visited by a working-set sweep
+    rng = np.random.default_rng(45)
+    sizes = [5] * 20 + [17] + [5] * 20 + [1, 1]
+    prob = random_problem(rng, 60, sizes, sparsity=0.05)
+    lmax = lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.25 * lmax, 0.25 * lmax)
+    screens = []
+    screen = solver_module._screen
+
+    def recorded_screen(*args):
+        screens.append(screen(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(solver_module, "_screen", recorded_screen)
+    result = fit(prob, pen, SolverOptions(outer_tol=1e-9))
+    assert result.converged
+    # on this draw a group passes the first screen but joins the working set
+    # at a later one, once the fit has moved the residual
+    assert (screens[-1] & ~screens[0]).any()
+    beta = result.coefficients.beta
+    active = prob.active_groups(beta)
+    assert 0 < int(active.sum()) < prob.n_groups // 2
+    res = prob.y - prob.X @ beta
+    for ell, (sl, w) in enumerate(zip(prob.slices, prob.weights)):
+        if not active[ell]:
+            assert _zero_test_passes(prob, res, pen, sl, w), ell
+    ref = fit_oracle(prob, pen, OracleOptions(tol=1e-15, max_iters=200000))
+    assert result.objective == pytest.approx(ref.objective, rel=1e-8)
+
+    # warm-started from a lower level, groups active there must end at zero
+    lower = fit(prob, PenaltySpec(0.1 * lmax, 0.1 * lmax), SolverOptions(outer_tol=1e-9))
+    was_active = prob.active_groups(lower.coefficients)
+    assert (was_active & ~active).any()
+    warm = fit(prob, pen, SolverOptions(outer_tol=1e-9), warm=lower.coefficients)
+    assert warm.converged
+    assert np.array_equal(prob.active_groups(warm.coefficients), active)
+    for sl, is_active in zip(prob.slices, active):
+        if not is_active:
+            assert np.all(warm.coefficients.beta[sl] == 0.0)
+    assert warm.objective == pytest.approx(ref.objective, rel=1e-8)
+
+
 # -------------------------------------------------------------- fit_group_lasso
 
 def test_group_lasso_orthonormal_blocks_match_the_shortcut():
@@ -744,3 +796,31 @@ def test_kkt_pure_one_norm_zero_block_residual():
     assert kkt_residual(prob, np.zeros(4), PenaltySpec(0.0, 1.01 * high)).worst_violation == 0.0
     rep = kkt_residual(prob, np.zeros(4), PenaltySpec(0.0, 0.5 * high))
     assert rep.worst_violation == pytest.approx(high - 0.5 * high, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kkt_matches_the_per_group_reference(seed):
+    rng = np.random.default_rng(450 + seed)
+    sizes = [int(k) for k in rng.integers(1, 9, size=rng.integers(2, 7))]
+    prob = random_problem(rng, 30, sizes, weight_mode="sqrt-size")
+    lmax = lambda_max(prob, 0.5)
+    scale = max(1.0, float(np.abs(prob.X.T @ prob.y).max()))
+    levels = [(0.0, 0.0), (0.0, 0.3 * lmax), (0.3 * lmax, 0.0), (0.2 * lmax, 0.1 * lmax)]
+    for lam1, lam2 in levels:
+        pen = PenaltySpec(lam1, lam2)
+        solved = fit(prob, pen, SolverOptions(outer_tol=1e-6)).coefficients.beta
+        # a fit (active blocks with zero coordinates), a perturbed copy, and a
+        # sparse random vector (zero blocks next to partly zero ones)
+        perturbed = solved + 0.05 * rng.standard_normal(prob.p) * (solved != 0.0)
+        sparse = rng.standard_normal(prob.p) * (rng.random(prob.p) < 0.4)
+        for beta in (solved, perturbed, sparse, np.zeros(prob.p)):
+            rep = kkt_residual(prob, beta, pen)
+            per_group, per_coord, active, worst = kkt_reference(
+                prob.y, prob.X, beta, prob.group_sizes, prob.weights, lam1, lam2
+            )
+            assert np.array_equal(rep.active, active)
+            np.testing.assert_allclose(rep.per_group, per_group, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(
+                rep.per_coordinate, per_coord, rtol=1e-12, atol=1e-12 * scale
+            )
+            assert rep.worst_violation == pytest.approx(worst, rel=1e-12, abs=1e-12 * scale)
