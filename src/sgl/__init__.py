@@ -26,16 +26,11 @@ from .sim import (
     write_dataset,
 )
 from .solver import (
-    GroupScreenReport,
     KktReport,
     SolverOptions,
-    coordinate_update,
     fit,
     fit_group_lasso,
     kkt_residual,
-    orthonormal_group_update,
-    screen_group,
-    screen_group_gl,
     soft_threshold,
 )
 
@@ -45,7 +40,6 @@ __all__ = [
     "BracketedMinimum",
     "Coefficients",
     "FitResult",
-    "GroupScreenReport",
     "GroupedProblem",
     "KktReport",
     "LoadedProblem",
@@ -60,7 +54,6 @@ __all__ = [
     "SolverOptions",
     "build_problem",
     "coef_misclassification",
-    "coordinate_update",
     "fit",
     "fit_group_lasso",
     "fit_oracle",
@@ -72,11 +65,8 @@ __all__ = [
     "load_problem_csv",
     "minimize_scalar",
     "objective",
-    "orthonormal_group_update",
     "predict",
     "prox_sgl",
-    "screen_group",
-    "screen_group_gl",
     "soft_threshold",
     "write_dataset",
 ]

@@ -230,11 +230,9 @@ def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "
 def _group_norms(problem: GroupedProblem, v: np.ndarray, order: float = 2) -> np.ndarray:
     """Norm of each group's segment of the length-p vector ``v``, in group order.
 
-    ``order`` is 2 (Euclidean) or ``np.inf`` (largest magnitude). fit's
-    screen of all groups at once, ``kkt_residual``, ``lambda_max`` and the
-    objective form their group norms here. At beta = 0 fit's first screen
-    and ``lambda_max`` therefore evaluate the same array with the same
-    arithmetic, which makes the all-zero boundary exact.
+    ``order`` is 2 (Euclidean) or ``np.inf`` (largest magnitude). The
+    solver's all-groups zero test (fit's screen, ``kkt_residual``,
+    ``lambda_max``) and the objective form their group norms here.
     """
     if order == 2:
         return np.sqrt(np.add.reduceat(v * v, problem._starts))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Coefficients, GroupedProblem, PenaltySpec, _group_norms
-from .solver import SolverOptions, fit, soft_threshold
+from .solver import SolverOptions, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
 
@@ -79,8 +79,8 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     alpha = float(mixing)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
-    # X'y and its group norms, formed as fit's first screen forms them at
-    # beta = 0 (same product, same group-norm kernel, same level split)
+    # X'y, formed as fit's first screen forms it at beta = 0 and tested by
+    # the same zero-test kernel with the same level split
     grad = problem.X.T @ problem.y
     sup = float(np.abs(grad).max())
     if sup == 0.0:
@@ -89,9 +89,8 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
         return sup
 
     def passes(lam: float) -> bool:
-        shrunk = soft_threshold(grad, alpha * lam)
-        radius = ((1.0 - alpha) * lam) * problem.weights
-        return bool((_group_norms(problem, shrunk) <= radius).all())
+        penalty = PenaltySpec((1.0 - alpha) * lam, alpha * lam)
+        return bool((_zero_test_excess(problem, grad, penalty) <= 0.0).all())
 
     norms = _group_norms(problem, grad)
     if alpha == 0.0:

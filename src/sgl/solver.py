@@ -27,20 +27,14 @@ from .model import (
 )
 
 __all__ = [
-    "GroupScreenReport",
     "KktReport",
     "SolverOptions",
     "soft_threshold",
-    "screen_group",
-    "screen_group_gl",
-    "coordinate_update",
-    "orthonormal_group_update",
     "fit",
     "fit_group_lasso",
     "kkt_residual",
 ]
 
-_ORTHO_TOL = 1e-10
 # A coordinate solve takes at most 8 passes of its Newton loop on the
 # benchmark's paths and 10 on adversarial draws (csq down to 1e-300, the
 # penalties cancelling |b|); the cap only guards against a defect
@@ -57,20 +51,32 @@ def soft_threshold(z, lam):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GroupScreenReport:
-    """Outcome of the block zero test at one group.
+def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
+    """The block penalty's proximal map at unit step: S(a, lam2) shrunk in
+    norm by ``lam1w``.
 
-    ``a`` is the group's gradient-side vector (block columns against the
-    block partial residual), ``t_hat`` the minimizing one-norm multipliers,
-    and ``J`` the scaled squared norm of the soft-thresholded ``a``; the
-    block optimum is zero exactly when ``J <= 1``.
+    It is zero exactly when the block zero test ||S(a, lam2)|| <= lam1w
+    passes, and it is the block minimizer when the block's columns are
+    orthonormal. The norm is summed like :func:`_zero_test_excess` sums a
+    group's segment, so on the same vector the two decide alike.
     """
+    g = soft_threshold(a, lam2)
+    gnorm = float(np.sqrt(np.add.reduceat(g * g, [0])[0]))
+    if gnorm <= lam1w:
+        return np.zeros_like(g)
+    # gnorm - lam1w is exact near the boundary (Sterbenz), so the factor
+    # keeps its relative precision where 1 - lam1w / gnorm would cancel
+    return g * ((gnorm - lam1w) / gnorm)
 
-    a: np.ndarray
-    t_hat: np.ndarray
-    J: float
-    is_zero: bool
+
+def _zero_test_excess(
+    problem: GroupedProblem, grad: np.ndarray, penalty: PenaltySpec
+) -> np.ndarray:
+    """Per group, ||S(grad_g, lambda2)|| - lambda1 * w_g: a zero block is
+    optimal exactly when its entry is at most 0, with ``grad`` the columns
+    against the block's partial residual."""
+    shrunk = soft_threshold(grad, penalty.lambda2)
+    return _group_norms(problem, shrunk) - penalty.lambda1 * problem.weights
 
 
 @dataclass(frozen=True)
@@ -96,15 +102,16 @@ class SolverOptions:
     A fit is declared converged when a sweep over its working set moves no
     coefficient by more than ``outer_tol``, a screen of every other group
     finds none failing the zero test, and the worst first-order violation
-    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. ``max_sweeps`` caps
-    the working-set sweeps. Each coordinate is solved to machine precision,
-    so ``inner_tol`` is validated but changes no result.
+    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep
+    moves nothing by more than ``1e-4 * outer_tol`` while that gate fails
+    stops there, reported as not converged. ``max_sweeps`` caps the
+    working-set sweeps. Each coordinate is solved to machine precision, so
+    ``inner_tol`` is validated but changes no result.
     """
 
     outer_tol: float = 1e-7
     max_sweeps: int = 10000
     inner_tol: float | None = None
-    orthonormal_fast_path: bool = False
 
     def __post_init__(self):
         if not (self.outer_tol > 0.0) or not math.isfinite(self.outer_tol):
@@ -113,57 +120,6 @@ class SolverOptions:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
         if self.inner_tol is not None and not (self.inner_tol > 0.0):
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
-
-
-def screen_group(a, penalty: PenaltySpec, w: float) -> GroupScreenReport:
-    """Exact zero test for one block given its gradient-side vector ``a``.
-
-    Requires a positive group penalty ``lambda1 * w``; the score is
-    ``J = ||S(a, lambda2)||^2 / (lambda1 * w)^2`` and the block is zero
-    at the optimum iff ``J <= 1`` (boundary inclusive).
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    lam1w = penalty.lambda1 * float(w)
-    if lam1w <= 0.0:
-        raise ValueError("group penalty must be positive for the block zero test")
-    if penalty.lambda2 > 0.0:
-        # a/lambda2 may overflow for denormal levels; the clip absorbs it
-        with np.errstate(over="ignore"):
-            t_hat = np.clip(a / penalty.lambda2, -1.0, 1.0)
-    else:
-        t_hat = np.zeros_like(a)
-    shrunk = a - penalty.lambda2 * t_hat
-    J = float(shrunk @ shrunk) / (lam1w * lam1w)
-    return GroupScreenReport(a=a, t_hat=t_hat, J=J, is_zero=J <= 1.0)
-
-
-def screen_group_gl(a, lam: float, w: float) -> bool:
-    """Zero test for one block when only the group penalty is present.
-
-    True when ``||a||_2`` is strictly below ``lam * w``; the exact boundary
-    reports active, where the block optimum is zero anyway.
-    """
-    lamw = float(lam) * float(w)
-    if lamw < 0.0:
-        raise ValueError("penalty level must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    return bool(np.linalg.norm(a) < lamw)
-
-
-def orthonormal_group_update(c, penalty: PenaltySpec, w: float) -> np.ndarray:
-    """Closed-form block minimizer when the block columns satisfy Z'Z = I.
-
-    ``c`` is the block columns against the block partial residual; the
-    update soft-thresholds ``c`` elementwise, then shrinks the survivor
-    vector toward zero as a whole.
-    """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    g = soft_threshold(c, penalty.lambda2)
-    lam1w = penalty.lambda1 * float(w)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= lam1w:
-        return np.zeros_like(c)
-    return (1.0 - lam1w / gnorm) * g
 
 
 def _solve_coordinate(
@@ -253,68 +209,36 @@ def _solve_coordinate(
     return side * u
 
 
-def coordinate_update(
-    j: int, Z, r_j, theta, penalty: PenaltySpec, w: float,
-    inner_tol: float | None = None,
-) -> float:
-    """One-coordinate minimizer inside a block, all other coefficients fixed.
-
-    ``r_j`` must be the residual excluding coordinate ``j``'s own
-    contribution. Returns zero when the column's correlation with ``r_j``
-    falls below the one-norm level; otherwise solves the coordinate
-    restriction of the criterion to machine precision. ``inner_tol`` must
-    be positive or None and does not change the result.
-    """
-    if inner_tol is not None and not (inner_tol > 0.0):
-        raise ValueError(f"inner_tol must be positive, got {inner_tol}")
-    Z = np.asarray(Z, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if Z.ndim != 2 or r_j.shape != (Z.shape[0],) or theta.shape != (Z.shape[1],):
-        raise ValueError("block, residual, and coefficients have mismatched shapes")
-    if not 0 <= j < Z.shape[1]:
-        raise ValueError(f"coordinate {j} out of range for block width {Z.shape[1]}")
-    col = Z[:, j]
-    colsq = float(col @ col)
-    b = float(col @ r_j)
-    csq = max(float(theta @ theta) - float(theta[j]) ** 2, 0.0)
-    return _solve_coordinate(
-        b, colsq, csq, penalty.lambda1 * float(w), penalty.lambda2, float(theta[j])
-    )
-
-
 def _block_minimize(
-    a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray,
-    lam1w: float, lam2: float, block_tol: float,
-    skip_move: float = 0.0, max_passes: int = 500,
+    a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, prox: np.ndarray,
+    lam1w: float, lam2: float, tol: float, max_passes: int = 500,
 ) -> np.ndarray:
-    """Minimize the criterion over one block, the rest of the fit fixed.
+    """Minimize the criterion over one block whose zero test fails, the rest
+    of the fit fixed.
 
     Works entirely in block coordinates: ``a0`` is the block columns against
-    the block partial residual at theta = 0 and ``gram`` the block's Gram
+    the block partial residual at theta = 0, ``gram`` the block's Gram
     matrix, which together determine the criterion's restriction up to a
-    constant. Cyclic coordinate updates repeat until the largest move falls
-    below ``block_tol``. When the iterate sits exactly at the origin yet the
-    zero test says active, no single coordinate may be able to move (each
-    one-coordinate restriction is minimized at zero even though the block
-    optimum is not the origin); the loop then takes the exact minimizing
-    step along the soft-thresholded gradient direction, which is guaranteed
-    to descend, before resuming coordinate updates.
+    constant, and ``prox`` the nonzero :func:`_block_prox` of ``a0``.
+    Cyclic coordinate updates repeat until the largest move falls below
+    ``tol``; a coordinate whose first-order residual bounds its move below
+    ``tol`` is not solved. When the iterate sits exactly at the origin, no
+    single coordinate may be able to move (each one-coordinate restriction
+    is minimized at zero even though the block optimum is not the origin);
+    the loop then takes the exact minimizing step along ``prox``, the
+    soft-thresholded gradient direction, which is guaranteed to descend,
+    before resuming coordinate updates.
     """
     theta = np.array(theta0, dtype=float)
     k = theta.size
     normsq = float(theta @ theta)
     for _ in range(max_passes):
-        if lam1w > 0.0 and not theta.any():
-            g = soft_threshold(a0, lam2)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= lam1w:
-                return theta
-            if bool(np.all(np.abs(a0) <= lam1w + lam2)):
-                u = g / gnorm
-                gamma = (gnorm - lam1w) / max(float(u @ gram @ u), 1e-300)
-                theta = gamma * u
-                normsq = float(theta @ theta)
+        if lam1w > 0.0 and not theta.any() and bool(np.all(np.abs(a0) <= lam1w + lam2)):
+            # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
+            # the minimizing step at unit curvature, rescaled to u'Gu
+            u = prox / float(np.linalg.norm(prox))
+            theta = prox / max(float(u @ gram @ u), 1e-300)
+            normsq = float(theta @ theta)
         max_move = 0.0
         for j in range(k):
             old = float(theta[j])
@@ -322,14 +246,12 @@ def _block_minimize(
             colsq = row[j]
             b = float(a0[j]) - float(row @ theta) + colsq * old
             csq = max(normsq - old * old, 0.0)
-            new = _solve_coordinate(
-                b, colsq, csq, lam1w, lam2, old, skip_move
-            )
+            new = _solve_coordinate(b, colsq, csq, lam1w, lam2, old, tol)
             if new != old:
                 theta[j] = new
                 normsq = max(normsq + new * new - old * old, 0.0)
                 max_move = max(max_move, abs(new - old))
-        if max_move <= block_tol:
+        if max_move <= tol:
             break
         normsq = float(theta @ theta)
     return theta
@@ -350,8 +272,7 @@ def _screen(problem: GroupedProblem, res: np.ndarray, penalty: PenaltySpec) -> n
     """Mask of the groups failing the exact zero test at residual ``res``,
     all groups at once. Only meaningful for zero blocks, whose partial
     residual is ``res`` itself."""
-    shrunk = soft_threshold(problem.X.T @ res, penalty.lambda2)
-    return _group_norms(problem, shrunk) > penalty.lambda1 * problem.weights
+    return _zero_test_excess(problem, problem.X.T @ res, penalty) > 0.0
 
 
 def fit(
@@ -368,8 +289,9 @@ def fit(
     block; every other group stays exactly zero. When a sweep moves no
     coefficient by more than ``outer_tol``, all other groups are screened
     at once at the current residual, and any that fail the zero test join
-    the working set; once none do, the fit stops if its first-order
-    violations pass the gate of :class:`SolverOptions`. Block updates are
+    the working set; once none do, the fit stops, converged if its
+    first-order violations pass the gate of :class:`SolverOptions` and
+    unconverged if its sweeps have stalled short of it. Block updates are
     accepted only when they do not increase the criterion, so the objective
     is nonincreasing sweep over sweep. With both penalties zero this is
     plain least squares; a rank-deficient design then sets ``degenerate``
@@ -384,10 +306,9 @@ def fit(
         beta = np.array(problem.coefficients(warm).beta, dtype=float)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     slices = problem.slices
-    # block Grams (and the orthonormality check) are built on a block's
-    # first minimization, so groups that never enter cost nothing
+    # block Grams are built on a block's first minimization, so groups that
+    # never enter cost nothing
     grams: list[np.ndarray | None] = [None] * problem.n_groups
-    ortho = [False] * problem.n_groups
     kkt_gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(X.T @ y).max()))
     block_tol = opts.outer_tol / 10.0
 
@@ -407,21 +328,11 @@ def fit(
             r_block = res + Z @ bl if bl.any() else res
             a = Z.T @ r_block
             lam1w = lam1 * float(problem.weights[ell])
-            g = soft_threshold(a, lam2)
-            if float(np.linalg.norm(g)) <= lam1w:
-                new_bl = np.zeros(a.size)
-            else:
+            new_bl = _block_prox(a, lam1w, lam2)
+            if new_bl.any():
                 if grams[ell] is None:
                     grams[ell] = Z.T @ Z
-                    ortho[ell] = opts.orthonormal_fast_path and bool(
-                        np.abs(grams[ell] - np.eye(a.size)).max() <= _ORTHO_TOL
-                    )
-                if ortho[ell]:
-                    new_bl = orthonormal_group_update(a, penalty, problem.weights[ell])
-                else:
-                    new_bl = _block_minimize(
-                        a, grams[ell], bl, lam1w, lam2, block_tol, skip_move=block_tol,
-                    )
+                new_bl = _block_minimize(a, grams[ell], bl, new_bl, lam1w, lam2, block_tol)
             if bool(np.any(new_bl != bl)):
                 before = _local_objective(r_block, Z, bl, lam1w, lam2)
                 after = _local_objective(r_block, Z, new_bl, lam1w, lam2)
@@ -441,8 +352,9 @@ def fit(
                 work |= entering
                 continue
             report = kkt_residual(problem, beta, penalty)
-            if report.worst_violation <= kkt_gate or max_delta <= 1e-4 * opts.outer_tol:
-                converged = True
+            converged = report.worst_violation <= kkt_gate
+            # a stalled fit stops too, but it has not converged
+            if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
     report = kkt_residual(problem, beta, penalty)
     degenerate = False
@@ -485,15 +397,14 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     active = problem.active_groups(b)
     sizes = problem.group_sizes
     # zero blocks: the soft-thresholded gradient against the group radius
-    shrunk = soft_threshold(grad, lam2)
     stat = grad
     if lam1 > 0.0:
-        outside = np.maximum(_group_norms(problem, shrunk) - lam1 * problem.weights, 0.0)
+        outside = np.maximum(_zero_test_excess(problem, grad, penalty), 0.0)
         # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||
         norms = np.where(active, _group_norms(problem, b), 1.0)
         stat = grad - np.repeat(lam1 * problem.weights, sizes) * (b / np.repeat(norms, sizes))
     else:
-        outside = _group_norms(problem, shrunk, np.inf)
+        outside = _group_norms(problem, soft_threshold(grad, lam2), np.inf)
     viol = np.where(
         b != 0.0, np.abs(stat - lam2 * np.sign(b)), np.maximum(np.abs(stat) - lam2, 0.0)
     )

@@ -73,7 +73,7 @@ def test_a3_closed_form_equivalences(capsys):
     rng = np.random.default_rng(303)
 
     # (a) orthonormal design: the fit must land on the two-stage shrinkage
-    # formula, with the specialized block update both enabled and disabled
+    # formula
     M = rng.standard_normal((60, 9))
     M -= M.mean(axis=0)
     Q, _ = np.linalg.qr(M)
@@ -82,13 +82,12 @@ def test_a3_closed_form_equivalences(capsys):
     lmax = lambda_max(prob, 0.5)
     pen = PenaltySpec(0.5 * lmax * 0.4, 0.5 * lmax * 0.4)
     gap_a = 0.0
-    for fast in (False, True):
-        res = fit(prob, pen, SolverOptions(outer_tol=1e-10, orthonormal_fast_path=fast))
-        for sl, w in zip(prob.slices, prob.weights):
-            direct = closed_form_block(
-                prob.X[:, sl].T @ prob.y, pen.lambda1 * float(w), pen.lambda2
-            )
-            gap_a = max(gap_a, float(np.abs(res.coefficients.beta[sl] - direct).max()))
+    res = fit(prob, pen, SolverOptions(outer_tol=1e-10))
+    for sl, w in zip(prob.slices, prob.weights):
+        direct = closed_form_block(
+            prob.X[:, sl].T @ prob.y, pen.lambda1 * float(w), pen.lambda2
+        )
+        gap_a = max(gap_a, float(np.abs(res.coefficients.beta[sl] - direct).max()))
 
     # (b) all-singleton groups: the fit must match an independent lasso
     gap_b = 0.0

@@ -9,7 +9,7 @@ from _reference import random_problem
 from sgl.model import PenaltySpec, objective
 from sgl.oracle import OracleOptions, _spectral_bound, fit_oracle, prox_sgl
 from sgl.path import lambda_max
-from sgl.solver import SolverOptions, fit, kkt_residual, orthonormal_group_update
+from sgl.solver import SolverOptions, _block_prox, fit, kkt_residual
 
 
 # ------------------------------------------------------------------- prox_sgl
@@ -31,7 +31,7 @@ def test_prox_hand_case_matches_exact_block_solve():
     v = np.array([2.0, 0.0])
     out = prox_sgl(v, 1.0, PenaltySpec(1.0, 0.5), 1.0)
     assert out == pytest.approx([0.5, 0.0], abs=1e-15)
-    exact = orthonormal_group_update(v, PenaltySpec(1.0, 0.5), 1.0)
+    exact = _block_prox(v, 1.0, 0.5)
     assert out == pytest.approx(exact, abs=1e-15)
 
 

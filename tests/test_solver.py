@@ -14,19 +14,16 @@ from sgl import (
     PenaltySpec,
     SolverOptions,
     build_problem,
-    coordinate_update,
     fit,
     fit_group_lasso,
     fit_oracle,
     kkt_residual,
     lambda_max,
     objective,
-    orthonormal_group_update,
     prox_sgl,
-    screen_group,
-    screen_group_gl,
     soft_threshold,
 )
+from sgl.solver import _block_prox, _solve_coordinate, _zero_test_excess
 from sgl.path import PathSpec, fit_path
 from sgl.sim import SimConfig, generate
 
@@ -86,39 +83,29 @@ def test_soft_threshold_shrinks_and_is_nonexpansive(z, u, lam):
     assert abs(sz - su) <= abs(z - u) + 1e-9 * (1.0 + abs(z - u))
 
 
-# ---------------------------------------------------------------- screen_group
+# ------------------------------------------------------------ block zero test
 
 def test_screen_zero_vector_is_zero():
-    rep = screen_group(np.zeros(3), PenaltySpec(1.0, 0.5), 1.0)
-    assert rep.J == 0.0 and rep.is_zero
-    assert np.array_equal(rep.t_hat, np.zeros(3))
+    assert np.array_equal(_block_prox(np.zeros(3), 1.0, 0.5), np.zeros(3))
 
 
 def test_screen_when_the_one_norm_level_absorbs_everything():
-    a = np.array([0.4, -0.9, 0.2])
-    rep = screen_group(a, PenaltySpec(0.3, 1.0), 1.0)
-    assert np.array_equal(rep.t_hat, a)  # every |a_j| <= lambda2, so t = a/lambda2
-    assert rep.J == 0.0 and rep.is_zero
+    a = np.array([0.4, -0.9, 0.2])  # every |a_j| <= lambda2: S(a, lambda2) = 0
+    assert np.array_equal(_block_prox(a, 0.3, 1.0), np.zeros(3))
+    assert np.array_equal(_block_prox(a, 0.0, 1.0), np.zeros(3))
 
 
 def test_screen_without_one_norm_reduces_to_the_norm_test():
     a = np.array([3.0, 4.0])
-    assert screen_group(a, PenaltySpec(6.0, 0.0), 1.0).is_zero
-    assert screen_group(a, PenaltySpec(5.0, 0.0), 1.0).is_zero  # boundary inclusive, J == 1
-    assert screen_group(a, PenaltySpec(5.0, 0.0), 1.0).J == 1.0
-    assert not screen_group(a, PenaltySpec(4.9, 0.0), 1.0).is_zero
-
-
-def test_screen_requires_a_positive_group_penalty():
-    with pytest.raises(ValueError):
-        screen_group(np.ones(2), PenaltySpec(0.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        screen_group(np.ones(2), PenaltySpec(1.0, 1.0), 0.0)
+    assert not _block_prox(a, 6.0, 0.0).any()
+    assert not _block_prox(a, 5.0, 0.0).any()  # boundary inclusive: ||a|| == 5
+    assert _block_prox(a, 4.9, 0.0).all()
 
 
 def test_screen_score_beats_every_grid_point():
-    # the closed-form multiplier must do at least as well as an exhaustive
-    # grid over the box, up to the grid's own resolution
+    # the closed-form score J = ||S(a, lambda2)||^2 / (lambda1 w)^2 must do at
+    # least as well as an exhaustive grid over the multiplier box, up to the
+    # grid's own resolution, and the kernel must call the block zero when J <= 1
     rng = np.random.default_rng(14)
     num = 101
     h = 2.0 / (num - 1)
@@ -127,16 +114,17 @@ def test_screen_score_beats_every_grid_point():
             a = rng.standard_normal(k) * 2.0
             lam1w = float(rng.uniform(0.5, 3.0))
             lam2 = float(rng.uniform(0.0, 2.0))
-            rep = screen_group(a, PenaltySpec(lam1w, lam2), 1.0)
+            shrunk = np.abs(soft_threshold(a, lam2))
+            J = float(shrunk @ shrunk) / lam1w**2
             grid_min = box_grid_min(a, lam2, num=num) / lam1w**2
-            assert rep.J <= grid_min + 1e-12
-            shrunk = np.abs(a - lam2 * rep.t_hat)
+            assert J <= grid_min + 1e-12
             slack = (lam2 * h * shrunk.sum() + k * (lam2 * h / 2.0) ** 2) / lam1w**2
-            assert grid_min - rep.J <= slack + 1e-12
+            assert grid_min - J <= slack + 1e-12
+            assert (not _block_prox(a, lam1w, lam2).any()) == (J <= 1.0)
 
 
 def test_screen_decision_matches_an_independent_fit():
-    # one-group problems: the screen says zero exactly when the reference
+    # one-group problems: the zero test passes exactly when the reference
     # solver drives the block to zero
     rng = np.random.default_rng(15)
     for trial in range(12):
@@ -147,53 +135,72 @@ def test_screen_decision_matches_an_independent_fit():
         if snorm == 0.0:
             continue
         lam1 = snorm * (0.9 if trial % 2 else 1.1)
-        rep = screen_group(a, PenaltySpec(lam1, lam2), 1.0)
+        is_zero = not _block_prox(a, lam1, lam2).any()
         ref = fit_oracle(prob, PenaltySpec(lam1, lam2), OracleOptions(tol=1e-15))
         ref_zero = float(np.abs(ref.coefficients.beta).max()) <= 1e-9
-        assert rep.is_zero == ref_zero
+        assert is_zero == ref_zero
 
 
 @given(
-    a=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=6),
-    lam1=st.floats(1e-3, 50.0),
-    lam2=st.floats(0.0, 50.0),
-    w=st.floats(0.1, 10.0),
+    a=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8),
+    lam1w=st.just(0.0) | st.floats(0.0, 50.0),
+    lam2=st.just(0.0) | st.floats(0.0, 50.0),
+    inside=st.booleans(),
 )
-def test_screen_report_invariants(a, lam1, lam2, w):
-    rep = screen_group(np.array(a), PenaltySpec(lam1, lam2), w)
-    assert np.all(rep.t_hat >= -1.0) and np.all(rep.t_hat <= 1.0)
-    assert rep.J >= 0.0
-    assert rep.is_zero == (rep.J <= 1.0)
+def test_block_prox_matches_both_independent_closed_forms(a, lam1w, lam2, inside):
+    a = np.array(a)
+    if inside:  # every entry inside the one-norm box: the prox is zero
+        a = np.clip(a, -lam2, lam2)
+    got = _block_prox(a, lam1w, lam2)
+    tol = 1e-14 * (1.0 + float(np.linalg.norm(a)))
+    assert np.abs(got - closed_form_block(a, lam1w, lam2)).max() <= tol
+    assert np.abs(got - prox_sgl(a, 1.0, PenaltySpec(lam1w, lam2), 1.0)).max() <= tol
+    if inside:
+        assert not got.any()
 
 
-# ------------------------------------------------------------- screen_group_gl
+@pytest.mark.parametrize("weight_mode", ["unit", "sqrt-size"])
+def test_block_and_all_group_zero_tests_decide_alike(weight_mode):
+    # on one gradient vector, the per-block kernel returns zero for a group
+    # exactly when the all-groups kernel reports no excess for it, also at
+    # levels placed exactly on a group's shrunk norm and one ulp below it
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        sizes = [int(k) for k in rng.integers(1, 41, size=rng.integers(1, 9))]
+        prob = random_problem(rng, 12, sizes, weight_mode=weight_mode)
+        grad = rng.standard_normal(prob.p) * 10.0 ** rng.uniform(-3, 3)
+        lam2 = float(rng.choice([0.0, 0.3, 1.0]))
+        norms = [
+            float(np.sqrt(np.add.reduceat(soft_threshold(grad[sl], lam2) ** 2, [0])[0]))
+            for sl in prob.slices
+        ]
+        levels = [float(rng.uniform(0.0, 2.0)) * max(norms)]
+        for norm, w in zip(norms, prob.weights):
+            levels += [norm / w, float(np.nextafter(norm / w, 0.0))]
+        for lam1 in levels:
+            pen = PenaltySpec(lam1, lam2)
+            excess = _zero_test_excess(prob, grad, pen)
+            for ell, (sl, w) in enumerate(zip(prob.slices, prob.weights)):
+                is_zero = not _block_prox(grad[sl], lam1 * float(w), lam2).any()
+                assert is_zero == (excess[ell] <= 0.0), (sizes, lam1, ell)
 
-def test_group_only_screen_hand_values():
-    assert screen_group_gl([3.0, 4.0], 6.0, 1.0)  # norm 5 < 6
-    assert not screen_group_gl([3.0, 4.0], 5.0, 1.0)  # boundary is not strict-less
-    assert not screen_group_gl([0.0, 0.0], 0.0, 1.0)
-    with pytest.raises(ValueError):
-        screen_group_gl([1.0], -1.0, 1.0)
 
+# ----------------------------------------------------------- coordinate update
 
-def test_both_screens_agree_away_from_the_boundary():
-    rng = np.random.default_rng(16)
-    for _ in range(50):
-        a = rng.standard_normal(4)
-        lamw = float(rng.uniform(0.1, 3.0))
-        if abs(float(np.linalg.norm(a)) - lamw) < 1e-9:
-            continue
-        strict = screen_group_gl(a, lamw, 1.0)
-        inclusive = screen_group(a, PenaltySpec(lamw, 0.0), 1.0).is_zero
-        assert strict == inclusive
+def _coordinate(j, Z, r_j, theta, lam1w, lam2):
+    # coordinate j's minimizer with the rest of the block fixed; r_j
+    # excludes coordinate j's own contribution
+    col = Z[:, j]
+    csq = max(float(theta @ theta) - float(theta[j]) ** 2, 0.0)
+    return _solve_coordinate(
+        float(col @ r_j), float(col @ col), csq, lam1w, lam2, float(theta[j])
+    )
 
-
-# ------------------------------------------------------------ coordinate_update
 
 def test_coordinate_below_the_screen_is_zeroed():
     Z = np.array([[1.0], [0.0]])
     r = np.array([0.3, 5.0])
-    assert coordinate_update(0, Z, r, [0.7], PenaltySpec(1.0, 0.5), 1.0) == 0.0
+    assert _coordinate(0, Z, r, np.array([0.7]), 1.0, 0.5) == 0.0
 
 
 def test_coordinate_lasso_closed_form_on_a_unit_column():
@@ -204,8 +211,7 @@ def test_coordinate_lasso_closed_form_on_a_unit_column():
         r = rng.standard_normal(12)
         theta = rng.standard_normal(2)
         lam2 = float(rng.uniform(0.05, 1.0))
-        pen = PenaltySpec(0.0, lam2)
-        got = coordinate_update(0, Z, r, theta, pen, 1.0, inner_tol=1e-13)
+        got = _coordinate(0, Z, r, theta, 0.0, lam2)
         b = float(Z[:, 0] @ r)
         assert got == pytest.approx(soft_threshold(b, lam2), abs=1e-10)
 
@@ -217,11 +223,10 @@ def test_coordinate_singleton_group_closed_form():
         col /= np.linalg.norm(col)
         Z = col.reshape(-1, 1)
         r = rng.standard_normal(10)
-        lam1, lam2, w = rng.uniform(0.05, 0.8, size=3)
-        pen = PenaltySpec(float(lam1), float(lam2))
-        got = coordinate_update(0, Z, r, [0.0], pen, float(w), inner_tol=1e-13)
+        lam1, lam2, w = (float(v) for v in rng.uniform(0.05, 0.8, size=3))
+        got = _coordinate(0, Z, r, np.array([0.0]), lam1 * w, lam2)
         b = float(col @ r)
-        assert got == pytest.approx(soft_threshold(b, float(lam1) * float(w) + float(lam2)), abs=1e-10)
+        assert got == pytest.approx(soft_threshold(b, lam1 * w + lam2), abs=1e-10)
 
 
 def test_coordinate_update_matches_a_dense_scan():
@@ -238,7 +243,7 @@ def test_coordinate_update_matches_a_dense_scan():
         b = float(Z[:, j] @ r)
         radius = abs(b) / colsq + abs(float(theta[j])) + 1.0
         scan_arg, scan_val = dense_scan(f, -radius, radius)
-        got = coordinate_update(j, Z, r, theta, PenaltySpec(lam1, lam2), w, inner_tol=1e-13)
+        got = _coordinate(j, Z, r, theta, lam1 * w, lam2)
         assert float(f(got)) <= scan_val + 1e-9
         assert abs(got - scan_arg) <= 1e-3 * (1.0 + abs(scan_arg))
 
@@ -253,18 +258,8 @@ def test_coordinate_update_never_worsens_the_current_value():
         r = rng.standard_normal(10)
         lam1, lam2 = (float(v) for v in rng.uniform(0.0, 1.5, size=2))
         f = coordinate_restriction(Z, r, theta, j, lam1, lam2)
-        got = coordinate_update(j, Z, r, theta, PenaltySpec(lam1, lam2), 1.0)
+        got = _coordinate(j, Z, r, theta, lam1, lam2)
         assert float(f(got)) <= float(f(float(theta[j]))) + 1e-12
-
-
-def test_coordinate_update_validates_shapes():
-    Z = np.ones((4, 2))
-    with pytest.raises(ValueError):
-        coordinate_update(0, Z, np.ones(3), np.zeros(2), PenaltySpec(0.1, 0.1), 1.0)
-    with pytest.raises(ValueError):
-        coordinate_update(0, Z, np.ones(4), np.zeros(3), PenaltySpec(0.1, 0.1), 1.0)
-    with pytest.raises(ValueError):
-        coordinate_update(2, Z, np.ones(4), np.zeros(2), PenaltySpec(0.1, 0.1), 1.0)
 
 
 # ----------------------------------------------------------- coordinate solve
@@ -420,42 +415,23 @@ def test_inner_tol_does_not_change_results():
     loose = fit(prob, pen, SolverOptions(inner_tol=1e-8))
     default = fit(prob, pen, SolverOptions(inner_tol=None))
     assert np.array_equal(loose.coefficients.beta, default.coefficients.beta)
-    Z = prob.X[:, prob.slices[0]]
-    theta = loose.coefficients.beta[prob.slices[0]]
-    r_j = prob.y - prob.X @ loose.coefficients.beta + Z[:, 0] * theta[0]
-    free = coordinate_update(0, Z, r_j, theta, pen, 1.0)
-    assert coordinate_update(0, Z, r_j, theta, pen, 1.0, inner_tol=1e-3) == free
-    with pytest.raises(ValueError):
-        coordinate_update(0, Z, r_j, theta, pen, 1.0, inner_tol=0.0)
 
 
-# ----------------------------------------------------- orthonormal_group_update
+# ------------------------------------------------------- block prox, unit step
 
 def test_orthonormal_update_identity_without_penalty():
     c = np.array([1.5, -2.0, 0.0])
-    assert np.array_equal(orthonormal_group_update(c, PenaltySpec(0.0, 0.0), 1.0), c)
+    assert np.array_equal(_block_prox(c, 0.0, 0.0), c)
 
 
 def test_orthonormal_update_gates_to_zero():
-    c = np.array([0.5, -0.5])
-    out = orthonormal_group_update(c, PenaltySpec(2.0, 0.1), 1.0)
+    out = _block_prox(np.array([0.5, -0.5]), 2.0, 0.1)
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_orthonormal_update_hand_case():
-    out = orthonormal_group_update(np.array([2.0, 0.0]), PenaltySpec(0.5, 1.0), 1.0)
+    out = _block_prox(np.array([2.0, 0.0]), 0.5, 1.0)
     assert np.allclose(out, [0.5, 0.0], atol=1e-15)
-
-
-def test_orthonormal_update_agrees_with_the_prox_at_unit_step():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        c = rng.standard_normal(4) * 2.0
-        pen = PenaltySpec(float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
-        w = float(rng.uniform(0.5, 2.0))
-        assert np.allclose(
-            orthonormal_group_update(c, pen, w), prox_sgl(c, 1.0, pen, w), atol=1e-14
-        )
 
 
 def test_orthonormal_update_matches_descent_on_an_orthonormal_block():
@@ -465,9 +441,9 @@ def test_orthonormal_update_matches_descent_on_an_orthonormal_block():
     prob = build_problem(y, Q, [3])
     pen = PenaltySpec(0.4, 0.2)
     expected = closed_form_block(prob.X.T @ prob.y, 0.4, 0.2)
-    result = fit(prob, pen, TIGHT)  # generic path, no fast-path flag
+    result = fit(prob, pen, TIGHT)
     assert np.abs(result.coefficients.beta - expected).max() < 1e-8
-    assert np.abs(orthonormal_group_update(prob.X.T @ prob.y, pen, 1.0) - expected).max() < 1e-14
+    assert np.abs(_block_prox(prob.X.T @ prob.y, 0.4, 0.2) - expected).max() < 1e-14
 
 
 # ------------------------------------------------------------------------ fit
@@ -576,30 +552,6 @@ def test_fit_scaling_relation():
     assert r2.objective == pytest.approx(c * c * r1.objective, rel=1e-12)
 
 
-def test_fit_fast_path_agrees_with_the_generic_path():
-    rng = np.random.default_rng(32)
-    shared = rng.standard_normal((30, 1))
-    blocks = []
-    for _ in range(3):
-        M = rng.standard_normal((30, 3)) + 0.6 * shared  # cross-block correlation
-        M -= M.mean(axis=0)
-        Q, _ = np.linalg.qr(M)
-        blocks.append(Q)
-    X = np.hstack(blocks)
-    y = rng.standard_normal(30)
-    prob = build_problem(y, X, [3, 3, 3])
-    for sl in prob.slices:
-        Z = prob.X[:, sl]
-        assert np.abs(Z.T @ Z - np.eye(3)).max() <= 1e-10
-    lmax = lambda_max(prob, 0.5)
-    pen = PenaltySpec(0.2 * lmax, 0.2 * lmax)
-    # cross-block coupling amplifies the stopping tolerance into the final
-    # iterate gap, so drive both runs well past the comparison precision
-    plain = fit(prob, pen, SolverOptions(outer_tol=1e-12, orthonormal_fast_path=False))
-    fast = fit(prob, pen, SolverOptions(outer_tol=1e-12, orthonormal_fast_path=True))
-    assert np.abs(plain.coefficients.beta - fast.coefficients.beta).max() < 1e-8
-
-
 def test_fit_reports_nonconvergence_at_the_sweep_cap():
     rng = np.random.default_rng(33)
     prob = random_problem(rng, 40, [5, 5, 5])
@@ -633,6 +585,63 @@ def test_fit_zeroes_coefficients_of_constant_columns():
     result = fit(prob, PenaltySpec(0.01, 0.01), TIGHT)
     assert result.coefficients.beta[1] == 0.0
     assert result.converged
+
+
+def test_fit_never_reports_convergence_while_its_kkt_gate_fails():
+    # with large columns no coefficient moves by 1e-4 * outer_tol after the
+    # first sweep, so the fit stops early; it must not call that converged
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 12))
+    y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
+    opts = SolverOptions()
+    for scale in (1e3, 1e4, 1e6, 1e8):
+        prob = build_problem(y, scale * X, [4, 4, 4])
+        lam = 0.3 * lambda_max(prob, 0.5)
+        result = fit(prob, PenaltySpec(0.5 * lam, 0.5 * lam), opts)
+        gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(prob.X.T @ prob.y).max()))
+        if result.converged:
+            assert result.kkt.worst_violation <= gate, scale
+
+
+def _degenerate_case(name):
+    rng = np.random.default_rng(47)
+    n, sizes, mixing, ratio, weight_mode = 40, [4, 4, 4], 0.5, 0.3, "unit"
+    if name.startswith("n<p"):
+        n, sizes, ratio = 15, [5] * 12, float(name.split()[-1])
+    elif name == "single group":
+        sizes, weight_mode = [12], "sqrt-size"
+    elif name.startswith("mixing"):
+        mixing = float(name.split()[-1])
+    elif name.endswith("group lasso"):
+        mixing = 0.0
+    X = rng.standard_normal((n, sum(sizes)))
+    if name.startswith("duplicate inside"):
+        X[:, 1] = X[:, 0]
+    elif name.startswith("duplicate across"):
+        X[:, 5] = X[:, 0]
+    beta = rng.standard_normal(X.shape[1]) * (rng.random(X.shape[1]) < 0.5)
+    beta[0] = 2.0  # the duplicated column carries signal
+    y = X @ beta + 0.5 * rng.standard_normal(n)
+    prob = build_problem(y, X, sizes, weight_mode=weight_mode)
+    lam = ratio * lambda_max(prob, mixing)
+    return prob, PenaltySpec((1.0 - mixing) * lam, mixing * lam)
+
+
+@pytest.mark.parametrize("name", [
+    "n<p 0.3", "n<p 0.02",
+    "duplicate inside, sparse group lasso", "duplicate inside, group lasso",
+    "duplicate across, sparse group lasso", "duplicate across, group lasso",
+    "single group", "mixing 0", "mixing 1",
+])
+def test_fit_solves_degenerate_inputs(name):
+    prob, pen = _degenerate_case(name)
+    opts = SolverOptions()
+    result = fit(prob, pen, opts)
+    assert result.converged
+    gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(prob.X.T @ prob.y).max()))
+    assert result.kkt.worst_violation <= gate
+    ref = fit_oracle(prob, pen)
+    assert result.objective == pytest.approx(ref.objective, rel=1e-8)
 
 
 def test_solver_options_validation():
