@@ -29,7 +29,6 @@ from .solver import (
     KktReport,
     SolverOptions,
     fit,
-    fit_group_lasso,
     kkt_residual,
     soft_threshold,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "build_problem",
     "coef_misclassification",
     "fit",
-    "fit_group_lasso",
     "fit_oracle",
     "fit_path",
     "generate",

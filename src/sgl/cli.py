@@ -11,11 +11,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LoadedProblem, PenaltySpec, load_problem_csv, objective
+from .model import LoadedProblem, PenaltySpec, _read_csv_rows, load_problem_csv, objective
 from .oracle import fit_oracle
 from .path import PathSpec, fit_path
 from .sim import (
@@ -27,32 +26,7 @@ from .sim import (
 )
 from .solver import SolverOptions, fit, kkt_residual
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: which subcommand plus every flag it accepts."""
-
-    subcommand: str
-    data: str | None = None
-    groups: str | None = None
-    coefs: str | None = None
-    truth: str | None = None
-    out: str = "."
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    alpha: float = 0.5
-    npoints: int = 100
-    ratio_min: float = 1e-3
-    weights: str = "unit"
-    seed: int | None = None
-    n: int = 200
-    counts: str | None = None
-    wide: bool = False
-    oracle: bool = False
-    outer_tol: float = 1e-7
-    max_sweeps: int = 10000
+__all__ = ["run"]
 
 
 def _fmt(v: float) -> str:
@@ -82,8 +56,10 @@ def _weight_mode(flag: str) -> str:
     return "sqrt-size" if flag == "sqrt" else "unit"
 
 
-def _solver_options(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(outer_tol=cfg.outer_tol, max_sweeps=cfg.max_sweeps)
+def _given(ns: argparse.Namespace, *names: str) -> dict:
+    """The named flags the user set. Their parser default is suppressed, so
+    each default lives only in the library dataclass the flags feed."""
+    return {name: getattr(ns, name) for name in names if hasattr(ns, name)}
 
 
 def _write_coefficients(path: str, loaded: LoadedProblem, beta: np.ndarray) -> None:
@@ -94,85 +70,67 @@ def _write_coefficients(path: str, loaded: LoadedProblem, beta: np.ndarray) -> N
             writer.writerow([i, gid, _fmt(value)])
 
 
-def _read_coefficients(path: str, loaded: LoadedProblem) -> np.ndarray:
+def _read_indexed(
+    path: str, loaded: LoadedProblem, value: str, order: np.ndarray
+) -> np.ndarray:
+    """Read an ``index,group,<value>`` file into problem column order.
+
+    Problem column k is the file's index ``order[k]``: ``coefficients.csv``
+    is indexed by problem column, ``truth.csv`` by data-file feature
+    position (``loaded.data_positions``). Every index must appear once,
+    labelled with its column's group, with a finite value.
+    """
     p = loaded.problem.p
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-    if not rows or rows[0] != ["index", "group", "value"]:
-        raise ValueError(f"{path}: expected header 'index,group,value'")
-    beta = np.full(p, np.nan)
+    groups = np.empty(p, dtype=object)
+    groups[order] = loaded.column_group_ids
+    rows = _read_csv_rows(path)
+    if not rows or rows[0] != ["index", "group", value]:
+        raise ValueError(f"{path}: expected header 'index,group,{value}'")
+    values = np.full(p, np.nan)
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields")
         try:
             idx = int(row[0])
-            value = float(row[2])
+            v = float(row[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: unparseable entry") from None
+        # a NaN would also pass for the unset marker of the duplicate check
+        if not np.isfinite(v):
+            raise ValueError(f"{path}: line {lineno}: value {row[2]!r} is not finite")
         if not 0 <= idx < p:
             raise ValueError(f"{path}: line {lineno}: index {idx} out of range")
-        if not np.isnan(beta[idx]):
+        if not np.isnan(values[idx]):
             raise ValueError(f"{path}: line {lineno}: duplicate index {idx}")
-        if row[1] != loaded.column_group_ids[idx]:
+        if row[1] != groups[idx]:
             raise ValueError(
                 f"{path}: line {lineno}: group {row[1]!r} does not match "
-                f"problem group {loaded.column_group_ids[idx]!r}"
+                f"problem group {groups[idx]!r}"
             )
-        beta[idx] = value
-    if np.isnan(beta).any():
-        raise ValueError(f"{path}: {int(np.isnan(beta).sum())} coefficient(s) missing")
-    return beta
+        values[idx] = v
+    if np.isnan(values).any():
+        raise ValueError(f"{path}: {int(np.isnan(values).sum())} coefficient(s) missing")
+    return values[order]
 
 
-def _read_truth(path: str, loaded: LoadedProblem) -> np.ndarray:
-    p = loaded.problem.p
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-    if not rows or rows[0] != ["index", "group", "beta_true"]:
-        raise ValueError(f"{path}: expected header 'index,group,beta_true'")
-    by_position = np.full(p, np.nan)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-        try:
-            idx = int(row[0])
-            value = float(row[2])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: unparseable entry") from None
-        if not 0 <= idx < p:
-            raise ValueError(f"{path}: line {lineno}: index {idx} out of range")
-        by_position[idx] = value
-    if np.isnan(by_position).any():
-        raise ValueError(f"{path}: incomplete ground truth")
-    # truth rows are indexed by data-file feature position; reorder to the
-    # problem's group-contiguous column order
-    return by_position[loaded.data_positions]
-
-
-def _cmd_simulate(cfg: RunConfig) -> int:
-    kwargs = {"n": cfg.n, "seed": _resolve_seed(cfg.seed)}
-    if cfg.counts is not None:
-        kwargs["nonzero_counts"] = _parse_counts(cfg.counts)
-    dataset = generate(SimConfig(**kwargs))
-    paths = write_dataset(dataset, cfg.out)
+def _cmd_simulate(ns: argparse.Namespace) -> int:
+    kwargs = _given(ns, "n")
+    if ns.counts is not None:
+        kwargs["nonzero_counts"] = _parse_counts(ns.counts)
+    dataset = generate(SimConfig(seed=_resolve_seed(ns.seed), **kwargs))
+    paths = write_dataset(dataset, ns.out)
     for name in ("data", "groups", "truth"):
         print(f"wrote {paths[name]}")
     return 0
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
-    loaded = load_problem_csv(cfg.data, cfg.groups, weight_mode=_weight_mode(cfg.weights))
+def _cmd_fit(ns: argparse.Namespace) -> int:
+    loaded = load_problem_csv(ns.data, ns.groups, weight_mode=_weight_mode(ns.weights))
     problem = loaded.problem
-    penalty = PenaltySpec(lambda1=cfg.lambda1, lambda2=cfg.lambda2)
-    result = fit(problem, penalty, opts=_solver_options(cfg))
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_coefficients(os.path.join(cfg.out, "coefficients.csv"), loaded, result.coefficients.beta)
+    penalty = PenaltySpec(lambda1=ns.lambda1, lambda2=ns.lambda2)
+    result = fit(problem, penalty, opts=SolverOptions(**_given(ns, "outer_tol", "max_sweeps")))
+    os.makedirs(ns.out, exist_ok=True)
+    _write_coefficients(os.path.join(ns.out, "coefficients.csv"), loaded, result.coefficients.beta)
     summary = {
         "objective": result.objective,
         "sweeps": result.sweeps,
@@ -184,7 +142,7 @@ def _cmd_fit(cfg: RunConfig) -> int:
         "p": problem.p,
         "L": problem.n_groups,
     }
-    with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
+    with open(os.path.join(ns.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(
@@ -194,17 +152,19 @@ def _cmd_fit(cfg: RunConfig) -> int:
     return 0 if result.converged else 2
 
 
-def _cmd_path(cfg: RunConfig) -> int:
-    loaded = load_problem_csv(cfg.data, cfg.groups, weight_mode=_weight_mode(cfg.weights))
+def _cmd_path(ns: argparse.Namespace) -> int:
+    loaded = load_problem_csv(ns.data, ns.groups, weight_mode=_weight_mode(ns.weights))
     problem = loaded.problem
-    truth = _read_truth(cfg.truth, loaded) if cfg.truth else None
-    spec = PathSpec(n_points=cfg.npoints, ratio_min=cfg.ratio_min, mixing=cfg.alpha)
-    result = fit_path(problem, spec, opts=_solver_options(cfg))
-    os.makedirs(cfg.out, exist_ok=True)
-    path_file = os.path.join(cfg.out, "path.csv")
+    truth = None
+    if ns.truth:
+        truth = _read_indexed(ns.truth, loaded, "beta_true", loaded.data_positions)
+    spec = PathSpec(**_given(ns, "n_points", "ratio_min", "mixing"))
+    result = fit_path(problem, spec, opts=SolverOptions(**_given(ns, "outer_tol", "max_sweeps")))
+    os.makedirs(ns.out, exist_ok=True)
+    path_file = os.path.join(ns.out, "path.csv")
     with open(path_file, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if cfg.wide:
+        if ns.wide:
             writer.writerow(["point", "lambda"] + list(loaded.feature_names))
             for i, point in enumerate(result.points):
                 writer.writerow(
@@ -217,7 +177,7 @@ def _cmd_path(cfg: RunConfig) -> int:
                     zip(loaded.column_group_ids, point.coefficients.beta)
                 ):
                     writer.writerow([i, _fmt(point.lam), j, gid, _fmt(v)])
-    metrics_file = os.path.join(cfg.out, "metrics.csv")
+    metrics_file = os.path.join(ns.out, "metrics.csv")
     header = [
         "point", "lambda", "lambda1", "lambda2", "objective", "sweeps",
         "converged", "kkt_worst", "active_groups", "nonzeros",
@@ -250,11 +210,11 @@ def _cmd_path(cfg: RunConfig) -> int:
     return 2
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    loaded = load_problem_csv(cfg.data, cfg.groups, weight_mode=_weight_mode(cfg.weights))
+def _cmd_check(ns: argparse.Namespace) -> int:
+    loaded = load_problem_csv(ns.data, ns.groups, weight_mode=_weight_mode(ns.weights))
     problem = loaded.problem
-    beta = _read_coefficients(cfg.coefs, loaded)
-    penalty = PenaltySpec(lambda1=cfg.lambda1, lambda2=cfg.lambda2)
+    beta = _read_indexed(ns.coefs, loaded, "value", np.arange(problem.p))
+    penalty = PenaltySpec(lambda1=ns.lambda1, lambda2=ns.lambda2)
     report = kkt_residual(problem, beta, penalty)
     obj = objective(problem, beta, penalty)
     print(f"objective: {_fmt(obj)}")
@@ -266,20 +226,12 @@ def _cmd_check(cfg: RunConfig) -> int:
             f"group {gid}: active={'yes' if report.active[ell] else 'no'} "
             f"violation={_fmt(report.per_group[ell])}"
         )
-    if cfg.oracle:
+    if ns.oracle:
         reference = fit_oracle(problem, penalty)
         gap = abs(obj - reference.objective)
         print(f"oracle_objective: {_fmt(reference.objective)}")
         print(f"oracle_gap: {_fmt(gap)}")
     return 0
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "path": _cmd_path,
-    "check": _cmd_check,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,9 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset (data/groups/truth CSVs)")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--seed", type=int, default=None, help="generator seed (default: $SGL_SEED or 0)")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--n", type=int, default=200, help="number of observations")
+    sim.add_argument("--n", type=int, default=argparse.SUPPRESS, help="number of observations")
     sim.add_argument("--counts", default=None, help="per-block nonzero counts, e.g. 10,8,6,4,2")
 
     def add_io(p, with_solver=True):
@@ -302,26 +255,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", choices=("unit", "sqrt"), default="unit",
                        help="group weights: all one, or sqrt of group size")
         if with_solver:
-            p.add_argument("--outer-tol", type=float, default=1e-7, dest="outer_tol")
-            p.add_argument("--max-sweeps", type=int, default=10000, dest="max_sweeps")
+            p.add_argument("--outer-tol", type=float, default=argparse.SUPPRESS)
+            p.add_argument("--max-sweeps", type=int, default=argparse.SUPPRESS)
 
     fit_p = sub.add_parser("fit", help="fit at one penalty level, write coefficients and summary")
+    fit_p.set_defaults(handler=_cmd_fit)
     add_io(fit_p)
     fit_p.add_argument("--lambda1", type=float, required=True, help="group two-norm penalty level")
     fit_p.add_argument("--lambda2", type=float, required=True, help="one-norm penalty level")
     fit_p.add_argument("--out", default=".", help="output directory")
 
     path_p = sub.add_parser("path", help="fit a log-spaced penalty grid with warm starts")
+    path_p.set_defaults(handler=_cmd_path)
     add_io(path_p)
-    path_p.add_argument("--alpha", type=float, default=0.5, help="one-norm share of the total level")
-    path_p.add_argument("--npoints", type=int, default=100, help="grid size")
-    path_p.add_argument("--ratio-min", type=float, default=1e-3, dest="ratio_min",
+    path_p.add_argument("--alpha", type=float, default=argparse.SUPPRESS, dest="mixing",
+                        metavar="ALPHA", help="one-norm share of the total level")
+    path_p.add_argument("--npoints", type=int, default=argparse.SUPPRESS, dest="n_points",
+                        metavar="NPOINTS", help="grid size")
+    path_p.add_argument("--ratio-min", type=float, default=argparse.SUPPRESS,
                         help="smallest level as a fraction of the all-zero level")
     path_p.add_argument("--truth", default=None, help="truth CSV for misclassification metrics")
     path_p.add_argument("--wide", action="store_true", help="one row per level in path.csv")
     path_p.add_argument("--out", default=".", help="output directory")
 
     check_p = sub.add_parser("check", help="report optimality of a coefficients file")
+    check_p.set_defaults(handler=_cmd_check)
     add_io(check_p, with_solver=False)
     check_p.add_argument("--coefs", required=True, help="coefficients CSV (index,group,value)")
     check_p.add_argument("--lambda1", type=float, required=True)
@@ -334,22 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse flags, dispatch, and map failures to exit codes (0 ok, 1 input
     error, 2 non-convergence)."""
-    args = list(argv) if argv is not None else sys.argv[1:]
-    parser = _build_parser()
     try:
-        namespace = parser.parse_args(args)
+        namespace = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; fold every parser failure into
         # the input-error status, keep 0 for --help
         return 0 if not exc.code else 1
-    fields = {k: v for k, v in vars(namespace).items() if k != "subcommand"}
-    cfg = RunConfig(subcommand=namespace.subcommand, **fields)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return namespace.handler(namespace)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-def main(argv=None) -> int:
-    return run(argv)

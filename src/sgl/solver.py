@@ -31,7 +31,6 @@ __all__ = [
     "SolverOptions",
     "soft_threshold",
     "fit",
-    "fit_group_lasso",
     "kkt_residual",
 ]
 
@@ -321,6 +320,7 @@ def fit(
     for _ in range(opts.max_sweeps):
         sweeps += 1
         max_delta = 0.0
+        report = None
         for ell in np.flatnonzero(work):
             sl = slices[ell]
             Z = X[:, sl]
@@ -356,7 +356,9 @@ def fit(
             # a stalled fit stops too, but it has not converged
             if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
-    report = kkt_residual(problem, beta, penalty)
+    if report is None:
+        # no gate ran on the final beta
+        report = kkt_residual(problem, beta, penalty)
     degenerate = False
     if lam1 == 0.0 and lam2 == 0.0:
         degenerate = int(np.linalg.matrix_rank(X)) < p
@@ -370,16 +372,6 @@ def fit(
         objective_history=np.asarray(history),
         degenerate=degenerate,
     )
-
-
-def fit_group_lasso(
-    problem: GroupedProblem,
-    lam: float,
-    opts: SolverOptions | None = None,
-    warm: Coefficients | None = None,
-) -> FitResult:
-    """Solve with the group two-norm penalty alone (one-norm level zero)."""
-    return fit(problem, PenaltySpec(lambda1=lam, lambda2=0.0), opts=opts, warm=warm)
 
 
 def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktReport:

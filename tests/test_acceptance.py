@@ -19,7 +19,7 @@ from sgl.model import PenaltySpec, build_problem, load_problem_csv
 from sgl.oracle import fit_oracle
 from sgl.path import PathSpec, fit_path, lambda_max
 from sgl.sim import SimConfig, coef_misclassification, generate
-from sgl.solver import SolverOptions, fit, fit_group_lasso, kkt_residual
+from sgl.solver import SolverOptions, fit
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:
@@ -104,7 +104,7 @@ def test_a3_closed_form_equivalences(capsys):
     for _ in range(5):
         prob = random_problem(rng, 50, [3, 3, 3])
         lam = 0.3 * lambda_max(prob, 0.0)
-        res = fit_group_lasso(prob, lam, SolverOptions(outer_tol=1e-10))
+        res = fit(prob, PenaltySpec(lam, 0.0), SolverOptions(outer_tol=1e-10))
         gap_c = max(
             gap_c,
             ridge_fixed_point_gap(

@@ -24,7 +24,6 @@ PUBLIC = [
     "build_problem",
     "coef_misclassification",
     "fit",
-    "fit_group_lasso",
     "fit_oracle",
     "fit_path",
     "generate",
@@ -44,7 +43,7 @@ LIBRARY_MODULES = ["model", "oracle", "path", "scalar_opt", "sim", "solver"]
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 32
+    assert len(PUBLIC) == 31
     assert sgl.__all__ == sorted(PUBLIC)
     for name in sgl.__all__:
         assert getattr(sgl, name) is not None, name

@@ -1,18 +1,22 @@
 """End-to-end tests of the command-line interface, driven in-process."""
 
 import csv
+import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sgl.cli
 from sgl.cli import run
 from sgl.model import load_problem_csv
 from sgl.solver import SolverOptions, fit
-from sgl.path import lambda_max
+from sgl.path import PathSpec, fit_path
 from sgl.model import PenaltySpec
+from sgl.sim import SimConfig, generate, write_dataset
 
 
 def _read_lines(path):
@@ -239,6 +243,61 @@ def test_path_nonconvergence_warns_and_exits_2(tiny_dataset, tmp_path, capsys):
     assert (out / "metrics.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "tamper", ["conflicting duplicate", "wrong group", "missing row", "nan then duplicate"]
+)
+def test_path_rejects_a_bad_truth_file(tiny_dataset, tmp_path, capsys, tamper):
+    data, groups, truth = tiny_dataset
+    text = truth.read_text()
+    if tamper == "conflicting duplicate":
+        text += "0,gA,0.0\n"
+    elif tamper == "wrong group":
+        text = text.replace("1,gB,", "1,gA,")
+    elif tamper == "missing row":
+        text = text.replace("3,gB,0.0\n", "")
+    else:
+        text = text.replace("3,gB,0.0\n", "3,gB,nan\n3,gB,0.0\n")
+    truth.write_text(text)
+    code = run([
+        "path", "--data", str(data), "--groups", str(groups),
+        "--truth", str(truth), "--npoints", "8", "--out", str(tmp_path / "path"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(truth) in err[0]
+
+
+# ------------------------------------------------------------------ defaults
+
+def test_commands_without_parameter_flags_use_the_library_defaults(tiny_dataset, tmp_path):
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--seed", "5", "--out", str(sim)]) == 0
+    lib = write_dataset(generate(SimConfig(seed=5)), tmp_path / "lib")
+    for name in ("data", "groups", "truth"):
+        assert (sim / f"{name}.csv").read_bytes() == pathlib.Path(lib[name]).read_bytes()
+
+    data, groups, _ = tiny_dataset
+    io = ["--data", str(data), "--groups", str(groups)]
+    problem = load_problem_csv(data, groups).problem
+    out = tmp_path / "fit"
+    assert run(["fit", *io, "--lambda1", "0.05", "--lambda2", "0.05", "--out", str(out)]) == 0
+    direct = fit(problem, PenaltySpec(0.05, 0.05), SolverOptions())
+    written = [float(r[2]) for r in _read_lines(out / "coefficients.csv")[1:]]
+    assert np.array_equal(written, direct.coefficients.beta)
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["sweeps"] == direct.sweeps
+
+    out = tmp_path / "path"
+    assert run(["path", *io, "--out", str(out)]) == 0
+    result = fit_path(problem, PathSpec(), SolverOptions())
+    metrics = _read_lines(out / "metrics.csv")[1:]
+    assert [float(r[1]) for r in metrics] == [pt.lam for pt in result.points]
+    assert [int(r[5]) for r in metrics] == [pt.sweeps for pt in result.points]
+    values = [float(r[4]) for r in _read_lines(out / "path.csv")[1:]]
+    assert np.array_equal(values, np.concatenate([pt.coefficients.beta for pt in result.points]))
+
+
 # ---------------------------------------------------------------------- check
 
 def test_check_reports_optimality(sim_dir, tmp_path, capsys):
@@ -352,6 +411,15 @@ def test_console_script_help():
     proc = subprocess.run(["sgl", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_console_script_target_is_run():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["sgl"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is sgl.cli.run
 
 
 def test_module_invocation_help():

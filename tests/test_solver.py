@@ -15,7 +15,6 @@ from sgl import (
     SolverOptions,
     build_problem,
     fit,
-    fit_group_lasso,
     fit_oracle,
     kkt_residual,
     lambda_max,
@@ -603,6 +602,35 @@ def test_fit_never_reports_convergence_while_its_kkt_gate_fails():
             assert result.kkt.worst_violation <= gate, scale
 
 
+def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 12))
+    y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
+    prob = build_problem(y, X, [4, 4, 4])
+    lam = 0.3 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * lam, 0.5 * lam)
+    calls = []
+    kkt = solver_module.kkt_residual
+
+    def counted(*args):
+        calls.append(args)
+        return kkt(*args)
+
+    monkeypatch.setattr(solver_module, "kkt_residual", counted)
+    result = fit(prob, pen)
+    assert result.converged
+    assert len(calls) == 1
+    fresh = kkt(prob, result.coefficients, pen)
+    assert np.array_equal(result.kkt.per_group, fresh.per_group)
+    assert result.kkt.worst_violation == fresh.worst_violation
+
+    # a fit cut off before any gate still reports the KKT of its final beta
+    calls.clear()
+    cut = fit(prob, pen, SolverOptions(max_sweeps=1, outer_tol=1e-14))
+    assert not cut.converged and len(calls) == 1
+    assert cut.kkt.worst_violation == kkt(prob, cut.coefficients, pen).worst_violation
+
+
 def _degenerate_case(name):
     rng = np.random.default_rng(47)
     n, sizes, mixing, ratio, weight_mode = 40, [4, 4, 4], 0.5, 0.3, "unit"
@@ -706,7 +734,7 @@ def test_fit_on_a_working_set_screens_out_every_zero_group(monkeypatch):
     assert warm.objective == pytest.approx(ref.objective, rel=1e-8)
 
 
-# -------------------------------------------------------------- fit_group_lasso
+# ---------------------------------------------------------- group lasso alone
 
 def test_group_lasso_orthonormal_blocks_match_the_shortcut():
     rng = np.random.default_rng(36)
@@ -714,7 +742,7 @@ def test_group_lasso_orthonormal_blocks_match_the_shortcut():
     y = rng.standard_normal(30) * 2.0
     prob = build_problem(y, Q, [3, 3])
     lam = 0.6
-    result = fit_group_lasso(prob, lam, TIGHT)
+    result = fit(prob, PenaltySpec(lam, 0.0), TIGHT)
     for sl in prob.slices:
         s = prob.X[:, sl].T @ prob.y
         shrink = max(0.0, 1.0 - lam / float(np.linalg.norm(s)))
@@ -732,7 +760,7 @@ def test_group_lasso_active_blocks_solve_their_ridge_system():
     y = X @ np.array([1.0, -1.0, 0.5, 0.0, 0.0, 0.0]) + 0.5 * rng.standard_normal(40)
     prob = build_problem(y, X, [3, 3])
     lam = 0.3 * lambda_max(prob, 0.0)
-    result = fit_group_lasso(prob, lam, SolverOptions(outer_tol=1e-10))
+    result = fit(prob, PenaltySpec(lam, 0.0), SolverOptions(outer_tol=1e-10))
     assert prob.active_groups(result.coefficients).any()
     gap = ridge_fixed_point_gap(
         prob.y, prob.X, result.coefficients.beta, prob.group_sizes, prob.weights, lam
@@ -743,7 +771,7 @@ def test_group_lasso_active_blocks_solve_their_ridge_system():
 def test_group_lasso_at_level_zero_is_least_squares():
     rng = np.random.default_rng(38)
     prob = random_problem(rng, 30, [2, 4])
-    result = fit_group_lasso(prob, 0.0, TIGHT)
+    result = fit(prob, PenaltySpec(0.0, 0.0), TIGHT)
     assert np.abs(result.coefficients.beta - least_squares(prob.y, prob.X)).max() < 1e-6
 
 
