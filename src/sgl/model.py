@@ -344,21 +344,22 @@ def load_problem_csv(data_path, groups_path, weight_mode: str = "unit") -> Loade
     missing = [c for c in feature_names if c not in mapping]
     if missing:
         raise ValueError(f"{groups_path}: no group for column(s) {', '.join(missing)}")
-    extra = [c for c in mapping if c not in feature_names]
+    known = set(feature_names)
+    extra = [c for c in mapping if c not in known]
     if extra:
         raise ValueError(f"{groups_path}: unknown column(s) {', '.join(extra)}")
 
-    group_order: list[str] = []
-    for name in feature_names:
-        gid = mapping[name]
-        if gid not in group_order:
-            group_order.append(gid)
-    perm = [i for gid in group_order for i, name in enumerate(feature_names) if mapping[name] == gid]
-    sizes = [sum(1 for name in feature_names if mapping[name] == gid) for gid in group_order]
+    # data-file positions of each group's columns, groups in order of first
+    # appearance (dicts keep insertion order)
+    positions: dict[str, list[int]] = {}
+    for i, name in enumerate(feature_names):
+        positions.setdefault(mapping[name], []).append(i)
+    perm = [i for members in positions.values() for i in members]
+    sizes = [len(members) for members in positions.values()]
     problem = build_problem(y, X[:, perm], sizes, weight_mode=weight_mode)
     return LoadedProblem(
         problem=problem,
         feature_names=tuple(feature_names[i] for i in perm),
-        group_ids=tuple(group_order),
+        group_ids=tuple(positions),
         data_positions=np.asarray(perm, dtype=int),
     )

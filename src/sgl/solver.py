@@ -140,8 +140,10 @@ def _solve_coordinate(
     if abs(b) < lam2:
         return 0.0
     if lam1w == 0.0 or csq == 0.0:
-        # group-norm term is |theta| (or absent): closed-form shrinkage
-        return soft_threshold(b, lam1w + lam2) / colsq
+        # group-norm term is |theta| (or absent): closed-form shrinkage, in
+        # the bits of soft_threshold (np.sign(-0.0) is +0.0, hence `if b`)
+        shrunk = max(abs(b) - (lam1w + lam2), 0.0)
+        return math.copysign(shrunk, b) / colsq if b else 0.0
     if old != 0.0:
         deriv = (
             colsq * old
@@ -221,38 +223,44 @@ def _block_minimize(
     constant, and ``prox`` the nonzero :func:`_block_prox` of ``a0``.
     Cyclic coordinate updates repeat until the largest move falls below
     ``tol``; a coordinate whose first-order residual bounds its move below
-    ``tol`` is not solved. When the iterate sits exactly at the origin, no
-    single coordinate may be able to move (each one-coordinate restriction
-    is minimized at zero even though the block optimum is not the origin);
-    the loop then takes the exact minimizing step along ``prox``, the
-    soft-thresholded gradient direction, which is guaranteed to descend,
-    before resuming coordinate updates.
+    ``tol`` is not solved. Each pass runs on Python floats: the block
+    gradient ``a0 - gram @ theta`` and ``||theta||^2`` are formed exactly at
+    its start, and a coordinate that moves by ``d`` subtracts ``d`` times its
+    Gram row from the gradient (glmnet's covariance update), so rounding
+    drift never outlives a pass. When the iterate sits exactly at the
+    origin, no single coordinate may be able to move (each one-coordinate
+    restriction is minimized at zero even though the block optimum is not
+    the origin); the loop then takes the exact minimizing step along
+    ``prox``, the soft-thresholded gradient direction, which is guaranteed
+    to descend, before resuming coordinate updates.
     """
     theta = np.array(theta0, dtype=float)
-    k = theta.size
-    normsq = float(theta @ theta)
+    rows = gram.tolist()
+    diag = np.diagonal(gram).tolist()
     for _ in range(max_passes):
         if lam1w > 0.0 and not theta.any() and bool(np.all(np.abs(a0) <= lam1w + lam2)):
             # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
             # the minimizing step at unit curvature, rescaled to u'Gu
             u = prox / float(np.linalg.norm(prox))
             theta = prox / max(float(u @ gram @ u), 1e-300)
-            normsq = float(theta @ theta)
+        grad = (a0 - gram @ theta).tolist()
+        normsq = float(theta @ theta)
+        th = theta.tolist()
         max_move = 0.0
-        for j in range(k):
-            old = float(theta[j])
-            row = gram[j]
-            colsq = row[j]
-            b = float(a0[j]) - float(row @ theta) + colsq * old
+        for j, colsq in enumerate(diag):
+            old = th[j]
+            b = grad[j] + colsq * old
             csq = max(normsq - old * old, 0.0)
             new = _solve_coordinate(b, colsq, csq, lam1w, lam2, old, tol)
             if new != old:
-                theta[j] = new
+                th[j] = new
                 normsq = max(normsq + new * new - old * old, 0.0)
-                max_move = max(max_move, abs(new - old))
+                d = new - old
+                max_move = max(max_move, abs(d))
+                grad = [g - r * d for g, r in zip(grad, rows[j])]
+        theta = np.array(th)
         if max_move <= tol:
             break
-        normsq = float(theta @ theta)
     return theta
 
 

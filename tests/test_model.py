@@ -288,6 +288,35 @@ def test_load_problem_reorders_interleaved_groups(tmp_path):
     assert np.allclose(loaded.problem.X, raw - raw.mean(axis=0))
     assert np.allclose(loaded.problem.y, [-10.0, 0.0, 10.0])
 
+    # many groups, columns randomly interleaved, sidecar rows shuffled
+    rng = np.random.default_rng(5)
+    p, n_groups = 600, 150
+    gids = [f"g{int(g)}" for g in rng.integers(0, n_groups, p)]
+    names = [f"c{i}" for i in range(p)]
+    values = rng.standard_normal((4, p + 1))
+    data = _write(
+        tmp_path / "many.csv",
+        ",".join(names + ["y"]) + "\n"
+        + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values),
+    )
+    groups = _write(
+        tmp_path / "many_groups.csv",
+        "column,group\n" + "".join(f"{names[i]},{gids[i]}\n" for i in rng.permutation(p)),
+    )
+    loaded = load_problem_csv(data, groups)
+    first = {}
+    for i, g in enumerate(gids):
+        first.setdefault(g, i)
+    order = sorted(range(p), key=lambda i: first[gids[i]])  # stable
+    group_order = sorted(first, key=first.get)
+    assert loaded.data_positions.tolist() == order
+    assert loaded.feature_names == tuple(names[i] for i in order)
+    assert loaded.group_ids == tuple(group_order)
+    assert loaded.column_group_ids == tuple(gids[i] for i in order)
+    assert loaded.problem.group_sizes.tolist() == [gids.count(g) for g in group_order]
+    raw = values[:, order]
+    assert np.allclose(loaded.problem.X, raw - raw.mean(axis=0))
+
 
 def test_load_problem_weight_mode_passthrough(tmp_path):
     data = _write(tmp_path / "d.csv", "y,a,b\n1.0,1.0,2.0\n2.0,0.0,1.0\n3.0,1.0,0.0\n")
@@ -309,6 +338,8 @@ def test_load_problem_weight_mode_passthrough(tmp_path):
         ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\n", "no group for column"),
         ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\na,g\nb,g\n", "unknown column"),
         ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\na,g\na,h\n", "mapped twice"),
+        # unknown columns are listed in groups-file order
+        ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\nz,g\na,g\nb,g\n", r"column\(s\) z, b$"),
     ],
 )
 def test_load_problem_diagnostics(tmp_path, data_text, groups_text, fragment):

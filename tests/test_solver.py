@@ -22,7 +22,7 @@ from sgl import (
     prox_sgl,
     soft_threshold,
 )
-from sgl.solver import _block_prox, _solve_coordinate, _zero_test_excess
+from sgl.solver import _block_minimize, _block_prox, _solve_coordinate, _zero_test_excess
 from sgl.path import PathSpec, fit_path
 from sgl.sim import SimConfig, generate
 
@@ -414,6 +414,56 @@ def test_inner_tol_does_not_change_results():
     loose = fit(prob, pen, SolverOptions(inner_tol=1e-8))
     default = fit(prob, pen, SolverOptions(inner_tol=None))
     assert np.array_equal(loose.coefficients.beta, default.coefficients.beta)
+
+
+# ------------------------------------------------------------- block minimizer
+
+def _correlated_block(rng, n, k, rho):
+    """Centered equicorrelated columns (one shared factor); from k = 2 on the
+    second column duplicates the first, from k = 3 on the last is constant,
+    so zero once centered."""
+    shared = rng.standard_normal(n)
+    Z = math.sqrt(rho) * shared[:, None] + math.sqrt(1.0 - rho) * rng.standard_normal((n, k))
+    if k >= 2:
+        Z[:, 1] = Z[:, 0]
+    if k >= 3:
+        Z[:, -1] = 3.0
+    Z -= Z.mean(axis=0)
+    r = Z @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
+    return Z, r - r.mean()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 40])
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho):
+    # light penalties on strongly correlated columns: from k = 2 on, some 100
+    # to over 1000 passes, each moving every coordinate a little
+    rng = np.random.default_rng(int(1000 * rho) + k)
+    Z, r = _correlated_block(rng, 60, k, rho)
+    a0, gram = Z.T @ r, Z.T @ Z
+    lam2 = 0.02 * float(np.abs(a0).max())
+    lam1w = 0.05 * float(np.linalg.norm(soft_threshold(a0, lam2)))
+    prox = _block_prox(a0, lam1w, lam2)
+    assert prox.any()
+    tol = 1e-13
+    ref = fit_oracle(build_problem(r, Z, [k]), PenaltySpec(lam1w, lam2), OracleOptions(tol=1e-15))
+    # the last pass moves each coordinate by at most tol after its own solve
+    slack = tol * np.abs(gram).sum(axis=1)
+    for start in (np.zeros(k), rng.standard_normal(k)):
+        theta = _block_minimize(a0, gram, start, prox, lam1w, lam2, tol, max_passes=100000)
+        grad = a0 - gram @ theta
+        norm = float(np.linalg.norm(theta))
+        assert norm > 0.0
+        violation = np.where(
+            theta != 0.0,
+            np.abs(grad - lam1w * theta / norm - lam2 * np.sign(theta)),
+            np.maximum(np.abs(grad) - lam2, 0.0),
+        )
+        scale = np.abs(a0) + np.abs(gram) @ np.abs(theta) + lam1w + lam2
+        assert np.all(violation <= slack + 64 * k * np.finfo(float).eps * scale)
+        crit = (0.5 * float(np.sum((r - Z @ theta) ** 2)) + lam1w * norm
+                + lam2 * float(np.abs(theta).sum()))
+        assert abs(crit - ref.objective) <= 1e-10 * abs(ref.objective)
 
 
 # ------------------------------------------------------- block prox, unit step
