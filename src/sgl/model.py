@@ -139,7 +139,7 @@ class GroupedProblem:
 
     def active_groups(self, beta) -> np.ndarray:
         """Boolean mask of groups holding at least one nonzero coefficient."""
-        return _group_norms(self, _beta_array(self, beta), np.inf) != 0.0
+        return _group_norms(self, self.coefficients(beta).beta, np.inf) != 0.0
 
 
 @dataclass(frozen=True)
@@ -181,13 +181,6 @@ class FitResult:
         object.__setattr__(
             self, "objective_history", _frozen(np.array(self.objective_history, dtype=float))
         )
-
-
-def _beta_array(problem: GroupedProblem, beta) -> np.ndarray:
-    arr = beta.beta if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
-    if arr.shape != (problem.p,):
-        raise ValueError(f"expected {problem.p} coefficients, got shape {arr.shape}")
-    return arr
 
 
 def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "unit") -> GroupedProblem:
@@ -251,14 +244,14 @@ def _objective_from_residual(
 
 def objective(problem: GroupedProblem, beta, penalty: PenaltySpec) -> float:
     """Penalized criterion: half the residual sum of squares plus both penalty terms."""
-    b = _beta_array(problem, beta)
+    b = problem.coefficients(beta).beta
     residual = problem.y - problem.X @ b
     return _objective_from_residual(problem, residual, b, penalty)
 
 
 def predict(problem: GroupedProblem, beta, new_rows) -> np.ndarray:
     """Fitted values for new rows on the original (uncentered) scale."""
-    b = _beta_array(problem, beta)
+    b = problem.coefficients(beta).beta
     rows = np.asarray(new_rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)

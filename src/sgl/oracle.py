@@ -20,8 +20,9 @@ __all__ = ["OracleOptions", "OracleFit", "prox_sgl", "fit_oracle"]
 
 @dataclass(frozen=True)
 class OracleOptions:
-    """``step=None`` selects 0.9 over a power-iteration bound on the largest
-    eigenvalue of X'X; iteration stops when one step's objective decrease
+    """``step=None`` selects 0.9 over the largest eigenvalue of X'X, the
+    squared spectral norm of X (exact, from the singular values; the step is
+    1 when X is zero); iteration stops when one step's objective decrease
     falls below ``tol * (1 + |objective|)``."""
 
     step: float | None = None
@@ -70,26 +71,6 @@ def prox_sgl(v, step: float, penalty: PenaltySpec, w: float) -> np.ndarray:
     return (1.0 - radius / gnorm) * g
 
 
-def _spectral_bound(X: np.ndarray, iters: int = 1000, rel_tol: float = 1e-12) -> float:
-    """Largest eigenvalue of X'X by power iteration (a lower bound that
-    converges from below; callers keep a safety margin)."""
-    p = X.shape[1]
-    v = 1.0 + 0.01 * np.arange(p)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        w = X.T @ (X @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        new_estimate = float(v @ w)
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= rel_tol * max(new_estimate, 1.0):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
-
-
 def fit_oracle(
     problem: GroupedProblem,
     penalty: PenaltySpec,
@@ -106,7 +87,7 @@ def fit_oracle(
     if opts.step is not None:
         step = float(opts.step)
     else:
-        bound = _spectral_bound(X)
+        bound = float(np.linalg.norm(X, 2)) ** 2
         step = 0.9 / bound if bound > 0.0 else 1.0
     beta = np.zeros(problem.p)
     res = y.copy()

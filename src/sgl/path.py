@@ -60,7 +60,6 @@ class PathResult:
     points: tuple[PathPoint, ...]
     lambda_max: float
     mixing: float
-    warm_started: bool = True
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -147,7 +146,7 @@ def fit_path(
                 sweeps=result.sweeps,
                 converged=result.converged,
                 kkt_worst=result.kkt.worst_violation,
-                n_active_groups=int(problem.active_groups(result.coefficients).sum()),
+                n_active_groups=int(result.kkt.active.sum()),
                 n_nonzero=result.coefficients.n_nonzero,
             )
         )
@@ -156,5 +155,4 @@ def fit_path(
         points=tuple(points),
         lambda_max=lmax,
         mixing=alpha,
-        warm_started=True,
     )

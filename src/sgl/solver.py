@@ -264,15 +264,8 @@ def _block_minimize(
     return theta
 
 
-def _local_objective(r_block: np.ndarray, Z: np.ndarray, theta: np.ndarray,
-                     lam1w: float, lam2: float) -> float:
-    resid = r_block - Z @ theta if theta.any() else r_block
-    rss = math.fsum((resid * resid).tolist())
-    return (
-        0.5 * rss
-        + lam1w * float(np.linalg.norm(theta))
-        + lam2 * math.fsum(np.abs(theta).tolist())
-    )
+def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
+    return lam1w * float(np.linalg.norm(theta)) + lam2 * float(np.abs(theta).sum())
 
 
 def _screen(problem: GroupedProblem, res: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -291,18 +284,24 @@ def fit(
     """Solve the penalized least-squares problem by blockwise coordinate descent.
 
     Sweeps cyclically over a working set of groups: those nonzero at the
-    start plus those failing the exact zero test there. Each visit zeroes
-    the block when the test allows it and otherwise minimizes over the
-    block; every other group stays exactly zero. When a sweep moves no
-    coefficient by more than ``outer_tol``, all other groups are screened
-    at once at the current residual, and any that fail the zero test join
-    the working set; once none do, the fit stops, converged if its
-    first-order violations pass the gate of :class:`SolverOptions` and
-    unconverged if its sweeps have stalled short of it. Block updates are
-    accepted only when they do not increase the criterion, so the objective
-    is nonincreasing sweep over sweep. With both penalties zero this is
-    plain least squares; a rank-deficient design then sets ``degenerate``
-    (the returned solution is one minimizer among many).
+    start plus those failing the exact zero test there. Each visit forms
+    one block gradient against the block's partial residual, ``Z'r + G b``
+    (``Z'r`` for a zero block; the block Gram ``G`` is built on the block's
+    first nonzero visit), zeroes the block when the test allows it and
+    otherwise minimizes over the block; every other group stays exactly
+    zero. A visit that changes the block by ``d`` accepts the change only
+    when the criterion's exact change, ``Zd'(Zd/2 - r)`` plus the block
+    penalty's change, is at most 1e-14 of the criterion's scale, and then
+    updates the residual by ``-Zd``; so no accepted update raises the
+    criterion beyond its rounding, and the objective is nonincreasing sweep
+    over sweep. When a sweep moves no coefficient by more than
+    ``outer_tol``, all other groups are screened at once at the current
+    residual, and any that fail the zero test join the working set; once
+    none do, the fit stops, converged if its first-order violations pass
+    the gate of :class:`SolverOptions` and unconverged if its sweeps have
+    stalled short of it. With both penalties zero this is plain least
+    squares; a rank-deficient design then sets ``degenerate`` (the
+    returned solution is one minimizer among many).
     """
     opts = opts or SolverOptions()
     X, y = problem.X, problem.y
@@ -313,9 +312,16 @@ def fit(
         beta = np.array(problem.coefficients(warm).beta, dtype=float)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     slices = problem.slices
-    # block Grams are built on a block's first minimization, so groups that
+    # block Grams are built on a block's first nonzero visit, so groups that
     # never enter cost nothing
     grams: list[np.ndarray | None] = [None] * problem.n_groups
+
+    def block_gram(ell: int) -> np.ndarray:
+        if grams[ell] is None:
+            Z = X[:, slices[ell]]
+            grams[ell] = Z.T @ Z
+        return grams[ell]
+
     kkt_gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(X.T @ y).max()))
     block_tol = opts.outer_tol / 10.0
 
@@ -333,25 +339,28 @@ def fit(
             sl = slices[ell]
             Z = X[:, sl]
             bl = beta[sl]
-            r_block = res + Z @ bl if bl.any() else res
-            a = Z.T @ r_block
+            # the block gradient against the block's partial residual
+            a = Z.T @ res
+            if bl.any():
+                a += block_gram(ell) @ bl
             lam1w = lam1 * float(problem.weights[ell])
             new_bl = _block_prox(a, lam1w, lam2)
             if new_bl.any():
-                if grams[ell] is None:
-                    grams[ell] = Z.T @ Z
-                new_bl = _block_minimize(a, grams[ell], bl, new_bl, lam1w, lam2, block_tol)
-            if bool(np.any(new_bl != bl)):
-                before = _local_objective(r_block, Z, bl, lam1w, lam2)
-                after = _local_objective(r_block, Z, new_bl, lam1w, lam2)
+                new_bl = _block_minimize(a, block_gram(ell), bl, new_bl, lam1w, lam2, block_tol)
+            d = new_bl - bl
+            if d.any():
+                Zd = Z @ d
+                pen_old = _block_penalty(bl, lam1w, lam2)
+                pen_new = _block_penalty(new_bl, lam1w, lam2)
+                change = float(Zd @ (0.5 * Zd - res)) + pen_new - pen_old
                 # the update is the exact minimizer of its restriction, so a
                 # true rise is a pathology; but near a flat optimum genuine
-                # progress sits below the evaluation noise of these two
-                # values, and rejecting it would freeze the iterate early
-                if after <= before + 1e-14 * (1.0 + abs(before)):
-                    max_delta = max(max_delta, float(np.abs(new_bl - bl).max()))
+                # progress sits below the rounding of the criterion, and
+                # rejecting it would freeze the iterate early
+                if change <= 1e-14 * (1.0 + 0.5 * float(res @ res) + pen_old):
+                    max_delta = max(max_delta, float(np.abs(d).max()))
                     beta[sl] = new_bl
-                    res = r_block - Z @ new_bl
+                    res -= Zd
         res = y - X @ beta
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if max_delta <= opts.outer_tol:
@@ -391,10 +400,11 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     ball of radius ``lambda1 * w`` (its sup norm when that radius is zero).
     All entries vanish exactly at an optimum.
     """
-    b = problem.coefficients(beta).beta
+    coefs = problem.coefficients(beta)
+    b = coefs.beta
     grad = problem.X.T @ (problem.y - problem.X @ b)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
-    active = problem.active_groups(b)
+    active = problem.active_groups(coefs)
     sizes = problem.group_sizes
     # zero blocks: the soft-thresholded gradient against the group radius
     stat = grad

@@ -190,6 +190,8 @@ def test_objective_rejects_wrong_length():
     prob = build_problem([1.0, 3.0], [[1.0], [3.0]], [1])
     with pytest.raises(ValueError):
         objective(prob, [1.0, 2.0], PenaltySpec(0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        objective(prob, [np.nan], PenaltySpec(0.0, 0.0))
 
 
 # ------------------------------------------------------------------- predict

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import random_problem
-from sgl.model import PenaltySpec, objective
-from sgl.oracle import OracleOptions, _spectral_bound, fit_oracle, prox_sgl
+from sgl.model import PenaltySpec, build_problem, objective
+from sgl.oracle import OracleOptions, fit_oracle, prox_sgl
 from sgl.path import lambda_max
 from sgl.solver import SolverOptions, _block_prox, fit, kkt_residual
 
@@ -64,19 +64,15 @@ def test_prox_is_nonexpansive_toward_zero(v, lam1, lam2, step):
     assert np.all(out * arr >= -1e-12)
 
 
-# ------------------------------------------------------------- spectral bound
+# ---------------------------------------------------------------- default step
 
-def test_spectral_bound_matches_dense_eigenvalue():
-    rng = np.random.default_rng(21)
-    X = rng.standard_normal((30, 8))
-    true = float(np.linalg.eigvalsh(X.T @ X).max())
-    bound = _spectral_bound(X)
-    assert bound <= true * (1.0 + 1e-9)
-    assert bound >= true * (1.0 - 1e-6)
-
-
-def test_spectral_bound_zero_matrix():
-    assert _spectral_bound(np.zeros((5, 3))) == 0.0
+def test_default_step_on_an_all_zero_design_stays_at_zero():
+    # X'X has no positive eigenvalue to set the step by, so the step is 1
+    prob = build_problem([1.0, -2.0, 0.5, 3.0, -1.0], np.zeros((5, 3)), [2, 1])
+    res = fit_oracle(prob, PenaltySpec(0.1, 0.1))
+    assert res.coefficients.n_nonzero == 0
+    assert res.converged and res.iterations == 1
+    assert res.objective == pytest.approx(0.5 * float(prob.y @ prob.y), rel=1e-15)
 
 
 def test_default_step_keeps_descent_monotone():

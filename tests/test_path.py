@@ -129,7 +129,7 @@ def test_path_grid_shape_and_spacing():
     assert np.all(np.diff(lams) < 0.0)
     ratios = lams[1:] / lams[:-1]
     assert np.abs(ratios - ratios[0]).max() < 1e-12  # logarithmic spacing
-    assert result.mixing == 0.5 and result.warm_started
+    assert result.mixing == 0.5
 
 
 def test_path_first_point_is_all_zero():

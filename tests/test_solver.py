@@ -540,6 +540,26 @@ def test_fit_objective_never_increases_between_sweeps():
         assert np.all(np.diff(result.objective_history) <= 1e-12)
 
 
+def test_fit_rejects_a_block_update_that_raises_the_criterion(monkeypatch):
+    rng = np.random.default_rng(26)
+    prob = random_problem(rng, 40, [5, 5, 5])
+    lmax = lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.45 * lmax, 0.45 * lmax)
+    calls = []
+    minimize = solver_module._block_minimize
+
+    def overshoot(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs) + 0.5
+
+    monkeypatch.setattr(solver_module, "_block_minimize", overshoot)
+    result = fit(prob, pen)
+    assert calls, "no block was minimized, so the guard was never tested"
+    assert result.coefficients.n_nonzero == 0
+    assert not result.converged
+    assert np.all(np.diff(result.objective_history) <= 0.0)
+
+
 def test_fit_restarted_from_its_own_solution_stays_put():
     rng = np.random.default_rng(27)
     prob = random_problem(rng, 30, [4, 4, 4])
