@@ -3,11 +3,16 @@ penalty plus an elementwise one-norm penalty.
 
 The solver cycles over a working set of coefficient blocks. Each visit
 first runs a cheap exact test deciding whether the whole block is zero at
-the optimum; active blocks are then minimized by repeated one-coordinate
-updates, each either screened to zero or solved to machine precision by
-safeguarded Newton on its stationarity equation. Blocks outside the working
-set stay zero and are screened all at once whenever the working set settles.
-A fixed point of these rules is a global optimum of the convex criterion.
+the optimum. An active block is then solved exactly on the support and
+signs it comes with: one eigendecomposition of the support's Gram matrix
+and Newton on a scalar secular equation, kept only when the result passes
+the block's optimality conditions. Otherwise one-coordinate updates, each
+either screened to zero or solved to machine precision by safeguarded
+Newton on its stationarity equation, search for the support and hand each
+sign pattern they settle on back to the exact solve. Blocks outside the
+working set stay zero and are screened all at once whenever the working set
+settles. A fixed point of these rules is a global optimum of the convex
+criterion.
 """
 
 from __future__ import annotations
@@ -38,6 +43,13 @@ __all__ = [
 # benchmark's paths and 10 on adversarial draws (csq down to 1e-300, the
 # penalties cancelling |b|); the cap only guards against a defect
 _NEWTON_MAX_STEPS = 100
+# The secular equation of a block's exact solve takes at most 5 evaluations
+# on the benchmark's paths; a solve that reaches the cap is dropped for
+# coordinate passes
+_SECULAR_MAX_STEPS = 50
+# A block visit takes at most 7 coordinate passes on the benchmark's paths;
+# the cap only guards against a defect
+_BLOCK_MAX_PASSES = 500
 
 
 def soft_threshold(z, lam):
@@ -210,9 +222,83 @@ def _solve_coordinate(
     return side * u
 
 
+def _solve_on_support(
+    a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, lam1w: float, lam2: float,
+) -> np.ndarray | None:
+    """The block minimizer when it has the support and signs of ``theta``,
+    else None. Needs ``lam1w > 0``.
+
+    On a support S with signs s the criterion is smooth, and its minimizer
+    solves ``(G_SS + t I) theta_S = a0_S - lam2 s`` with
+    ``t = lam1w / ||theta_S||``. With ``G_SS = V diag(mu) V'`` (``mu``
+    clipped at 0) and ``w = V'(a0_S - lam2 s)``, ``sigma = 1 / t`` is the
+    root of the secular equation
+
+        F(sigma) = sum_i w_i^2 / (1 + mu_i sigma)^2 - lam1w^2 = 0,
+
+    and ``theta_S = V (sigma w / (1 + mu sigma))``. ``F`` is convex and
+    decreasing on ``sigma >= 0``; as for the trust-region step of Moré &
+    Sorensen (1983), Newton runs on ``1/sqrt(F + lam1w^2) - 1/lam1w``, which
+    has the same root and is concave and increasing, so from the warm start
+    ``||theta|| / lam1w`` it lands left of the root in at most one step and
+    then climbs to it monotonically, in few steps even where ``F`` flattens
+    like ``1/sigma^2``. The result is returned only when its signs are ``s``
+    and every coordinate off S has ``|(a0 - G theta)_j| <= lam2``: with
+    stationarity on S these are the block's optimality conditions, so a
+    returned block is its minimizer.
+    """
+    support = np.flatnonzero(theta)
+    signs = np.sign(theta[support])
+    mu, V = np.linalg.eigh(gram[support][:, support])
+    mu = np.maximum(mu, 0.0)
+    w = V.T @ (a0[support] - lam2 * signs)
+    pairs = list(zip(mu.tolist(), (w * w).tolist()))
+    target = lam1w * lam1w
+    # F falls from ||w||^2 at 0 to the weight of the null directions at
+    # infinity; a root needs the first above lam1w^2 and the second below
+    if sum(q for _, q in pairs) <= target or sum(q for m, q in pairs if m == 0.0) >= target:
+        return None
+    sigma = math.sqrt(float(theta @ theta)) / lam1w
+    for _ in range(_SECULAR_MAX_STEPS):
+        f, slope, scale = -target, 0.0, target
+        for m, q in pairs:
+            inv = 1.0 / (1.0 + m * sigma)
+            term = q * inv * inv
+            f += term
+            scale += term
+            slope -= 2.0 * m * term * inv
+        # below the evaluation noise of its terms F carries no sign
+        # information and sigma is resolved to machine precision
+        if abs(f) <= 4e-16 * scale:
+            break
+        if not slope < 0.0:
+            # every curved term underflowed: sigma ran off to infinity
+            return None
+        # the reciprocal form's Newton step is F's times
+        # 2 g^2 / (lam1w (lam1w + g)) with g^2 = F + lam1w^2, written so to
+        # avoid the cancellation in 1/g - 1/lam1w near the root
+        gsq = f + target
+        nxt = max(sigma - f / slope * (2.0 * gsq / (lam1w * (lam1w + math.sqrt(gsq)))), 0.0)
+        if abs(nxt - sigma) <= 4e-16 * sigma:
+            sigma = nxt
+            break
+        sigma = nxt
+    else:
+        return None
+    theta_s = V @ (w * (sigma / (1.0 + sigma * mu)))
+    if not np.array_equal(np.sign(theta_s), signs):
+        return None
+    out = np.zeros_like(theta)
+    out[support] = theta_s
+    grad = a0 - gram @ out
+    if np.abs(grad[out == 0.0]).max(initial=0.0) > lam2:
+        return None
+    return out
+
+
 def _block_minimize(
     a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, prox: np.ndarray,
-    lam1w: float, lam2: float, tol: float, max_passes: int = 500,
+    lam1w: float, lam2: float, tol: float,
 ) -> np.ndarray:
     """Minimize the criterion over one block whose zero test fails, the rest
     of the fit fixed.
@@ -221,8 +307,14 @@ def _block_minimize(
     the block partial residual at theta = 0, ``gram`` the block's Gram
     matrix, which together determine the criterion's restriction up to a
     constant, and ``prox`` the nonzero :func:`_block_prox` of ``a0``.
-    Cyclic coordinate updates repeat until the largest move falls below
-    ``tol``; a coordinate whose first-order residual bounds its move below
+
+    With ``lam1w > 0`` the block is first solved exactly on the support and
+    signs of ``theta0`` (:func:`_solve_on_support`); when those are the
+    optimum's, that is the whole visit. Otherwise cyclic coordinate updates
+    search for the support, and after each pass that leaves the sign pattern
+    unchanged, a pattern not tried yet goes to the exact solve. The passes
+    repeat until the largest move falls below ``tol`` or an exact solve is
+    accepted; a coordinate whose first-order residual bounds its move below
     ``tol`` is not solved. Each pass runs on Python floats: the block
     gradient ``a0 - gram @ theta`` and ``||theta||^2`` are formed exactly at
     its start, and a coordinate that moves by ``d`` subtracts ``d`` times its
@@ -235,14 +327,20 @@ def _block_minimize(
     to descend, before resuming coordinate updates.
     """
     theta = np.array(theta0, dtype=float)
+    tried = np.sign(theta)
+    if lam1w > 0.0 and theta.any():
+        exact = _solve_on_support(a0, gram, theta, lam1w, lam2)
+        if exact is not None:
+            return exact
     rows = gram.tolist()
     diag = np.diagonal(gram).tolist()
-    for _ in range(max_passes):
+    for _ in range(_BLOCK_MAX_PASSES):
         if lam1w > 0.0 and not theta.any() and bool(np.all(np.abs(a0) <= lam1w + lam2)):
             # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
             # the minimizing step at unit curvature, rescaled to u'Gu
             u = prox / float(np.linalg.norm(prox))
             theta = prox / max(float(u @ gram @ u), 1e-300)
+        before = np.sign(theta)
         grad = (a0 - gram @ theta).tolist()
         normsq = float(theta @ theta)
         th = theta.tolist()
@@ -261,6 +359,14 @@ def _block_minimize(
         theta = np.array(th)
         if max_move <= tol:
             break
+        # a pass that keeps the sign pattern suggests the support is found;
+        # each pattern gets one exact solve
+        pattern = np.sign(theta)
+        if lam1w > 0.0 and np.array_equal(pattern, before) and not np.array_equal(pattern, tried):
+            tried = pattern
+            exact = _solve_on_support(a0, gram, theta, lam1w, lam2)
+            if exact is not None:
+                return exact
     return theta
 
 
@@ -288,20 +394,24 @@ def fit(
     one block gradient against the block's partial residual, ``Z'r + G b``
     (``Z'r`` for a zero block; the block Gram ``G`` is built on the block's
     first nonzero visit), zeroes the block when the test allows it and
-    otherwise minimizes over the block; every other group stays exactly
-    zero. A visit that changes the block by ``d`` accepts the change only
-    when the criterion's exact change, ``Zd'(Zd/2 - r)`` plus the block
-    penalty's change, is at most 1e-14 of the criterion's scale, and then
-    updates the residual by ``-Zd``; so no accepted update raises the
-    criterion beyond its rounding, and the objective is nonincreasing sweep
-    over sweep. When a sweep moves no coefficient by more than
-    ``outer_tol``, all other groups are screened at once at the current
-    residual, and any that fail the zero test join the working set; once
-    none do, the fit stops, converged if its first-order violations pass
-    the gate of :class:`SolverOptions` and unconverged if its sweeps have
-    stalled short of it. With both penalties zero this is plain least
-    squares; a rank-deficient design then sets ``degenerate`` (the
-    returned solution is one minimizer among many).
+    otherwise minimizes over the block: exactly on the block's current
+    support and signs when those are the optimum's, else by coordinate
+    passes that search for them (see :func:`_block_minimize`). Every other
+    group stays exactly zero. A visit that changes the block by ``d``
+    accepts the change only when the criterion's exact change,
+    ``Zd'(Zd/2 - r)`` plus the block penalty's change, is at most 1e-14 of
+    the criterion's scale, and then updates the residual by ``-Zd``; so no
+    accepted update raises the criterion beyond its rounding, and the
+    objective is nonincreasing sweep over sweep. After each sweep the
+    residual is formed afresh from the working set's columns, the only ones
+    that can be nonzero. When a sweep moves no coefficient by more than
+    ``outer_tol``, all other groups are screened at once at that residual,
+    and any that fail the zero test join the working set; once none do,
+    the fit stops, converged if its first-order violations pass the gate of
+    :class:`SolverOptions` and unconverged if its sweeps have stalled short
+    of it. With both penalties zero this is plain least squares; a
+    rank-deficient design then sets ``degenerate`` (the returned solution
+    is one minimizer among many).
     """
     opts = opts or SolverOptions()
     X, y = problem.X, problem.y
@@ -327,6 +437,14 @@ def fit(
 
     res = y - X @ beta if beta.any() else y.copy()
     work = problem.active_groups(beta) | _screen(problem, res, penalty)
+
+    def working_columns(work: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(np.repeat(work, problem.group_sizes))
+
+    # only working-set columns can be nonzero, so each sweep's exact
+    # residual is formed from those alone
+    cols = working_columns(work)
+    X_work = X[:, cols]
     history = [_objective_from_residual(problem, res, beta, penalty)]
     converged = False
     max_delta = 0.0
@@ -361,12 +479,14 @@ def fit(
                     max_delta = max(max_delta, float(np.abs(d).max()))
                     beta[sl] = new_bl
                     res -= Zd
-        res = y - X @ beta
+        res = y - X_work @ beta[cols]
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if max_delta <= opts.outer_tol:
             entering = _screen(problem, res, penalty) & ~work
             if entering.any():
                 work |= entering
+                cols = working_columns(work)
+                X_work = X[:, cols]
                 continue
             report = kkt_residual(problem, beta, penalty)
             converged = report.worst_violation <= kkt_gate
@@ -410,9 +530,13 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     stat = grad
     if lam1 > 0.0:
         outside = np.maximum(_zero_test_excess(problem, grad, penalty), 0.0)
-        # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||
-        norms = np.where(active, _group_norms(problem, b), 1.0)
-        stat = grad - np.repeat(lam1 * problem.weights, sizes) * (b / np.repeat(norms, sizes))
+        # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||,
+        # with b_g first scaled by its largest magnitude so that a norm whose
+        # square underflows still divides
+        peaks = np.where(active, _group_norms(problem, b, np.inf), 1.0)
+        scaled = b / np.repeat(peaks, sizes)
+        norms = np.where(active, _group_norms(problem, scaled), 1.0)
+        stat = grad - np.repeat(lam1 * problem.weights, sizes) * (scaled / np.repeat(norms, sizes))
     else:
         outside = _group_norms(problem, soft_threshold(grad, lam2), np.inf)
     viol = np.where(

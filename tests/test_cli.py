@@ -243,6 +243,18 @@ def test_path_nonconvergence_warns_and_exits_2(tiny_dataset, tmp_path, capsys):
     assert (out / "metrics.csv").is_file()
 
 
+def test_path_converges_on_a_large_simulated_draw(tmp_path):
+    # level 8 of this path used to run into the 10000-sweep cap, a block
+    # creeping by about 1e-9 per sweep, and the command exited 2
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--seed", "20305", "--n", "2000", "--out", str(sim)]) == 0
+    code = run([
+        "path", "--data", str(sim / "data.csv"), "--groups", str(sim / "groups.csv"),
+        "--npoints", "20", "--ratio-min", "0.2", "--out", str(tmp_path / "path"),
+    ])
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "tamper", ["conflicting duplicate", "wrong group", "missing row", "nan then duplicate"]
 )

@@ -12,6 +12,7 @@ from sgl import (
     fit_path,
     lambda_max,
 )
+from sgl.sim import SimConfig, generate
 
 from _reference import random_problem
 
@@ -175,6 +176,17 @@ def test_path_kkt_stays_small_with_default_options():
         assert pt.converged
         assert np.isfinite(pt.objective)
         assert pt.kkt_worst <= 1e-6 * scale
+
+
+def test_path_on_a_wide_draw_converges_at_the_default_tolerance():
+    # at level 12 one block of this draw used to creep by about 1e-9 per
+    # sweep while its KKT residual stayed above the gate (2066 sweeps)
+    config = SimConfig(n=500, blocks=(5,) * 200, nonzero_counts=(5, 4, 3, 2, 1), seed=1302)
+    data = generate(config)
+    prob = build_problem(data.y, data.X, config.blocks)
+    result = fit_path(prob, PathSpec(n_points=15, ratio_min=0.4, mixing=0.5))
+    assert [pt.converged for pt in result.points] == [True] * 15
+    assert max(pt.sweeps for pt in result.points) <= 50
 
 
 def test_path_records_nonconvergence_instead_of_raising():

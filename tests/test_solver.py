@@ -2,10 +2,11 @@
 first-order optimality reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import sgl.solver as solver_module
@@ -435,8 +436,10 @@ def _correlated_block(rng, n, k, rho):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 13, 40])
 @pytest.mark.parametrize("rho", [0.95, 0.99])
-def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho):
-    # light penalties on strongly correlated columns: from k = 2 on, some 100
+def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho, monkeypatch):
+    # light penalties on strongly correlated columns. Each block is solved
+    # twice: as fit solves it, and by coordinate passes alone (the exact
+    # solve on the support switched off), which from k = 2 on take some 100
     # to over 1000 passes, each moving every coordinate a little
     rng = np.random.default_rng(int(1000 * rho) + k)
     Z, r = _correlated_block(rng, 60, k, rho)
@@ -449,8 +452,13 @@ def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho):
     ref = fit_oracle(build_problem(r, Z, [k]), PenaltySpec(lam1w, lam2), OracleOptions(tol=1e-15))
     # the last pass moves each coordinate by at most tol after its own solve
     slack = tol * np.abs(gram).sum(axis=1)
-    for start in (np.zeros(k), rng.standard_normal(k)):
-        theta = _block_minimize(a0, gram, start, prox, lam1w, lam2, tol, max_passes=100000)
+    monkeypatch.setattr(solver_module, "_BLOCK_MAX_PASSES", 100000)
+    exact = solver_module._solve_on_support
+    runs = [(start, solve) for start in (np.zeros(k), rng.standard_normal(k))
+            for solve in (exact, lambda *args: None)]
+    for start, solve in runs:
+        monkeypatch.setattr(solver_module, "_solve_on_support", solve)
+        theta = _block_minimize(a0, gram, start, prox, lam1w, lam2, tol)
         grad = a0 - gram @ theta
         norm = float(np.linalg.norm(theta))
         assert norm > 0.0
@@ -464,6 +472,115 @@ def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho):
         crit = (0.5 * float(np.sum((r - Z @ theta) ** 2)) + lam1w * norm
                 + lam2 * float(np.abs(theta).sum()))
         assert abs(crit - ref.objective) <= 1e-10 * abs(ref.objective)
+
+
+@st.composite
+def one_block_cases(draw):
+    """A one-group problem whose zero test fails, its reference solution,
+    and a warm start: zero, random, on the reference's support and signs,
+    or off them by one flipped sign, one dropped or one added coordinate."""
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = draw(st.sampled_from(["generic", "duplicate", "constant", "orthonormal"]))
+    Z = rng.standard_normal((12, k))
+    if design == "duplicate" and k >= 2:
+        Z[:, 1] = Z[:, 0]
+    elif design == "constant":
+        Z[:, -1] = 3.0  # zero once centered
+    elif design == "orthonormal":
+        Z = _orthonormal_design(rng, 12, k)
+    prob = build_problem(Z @ rng.standard_normal(k) + 0.3 * rng.standard_normal(12), Z, [k])
+    a0 = prob.X.T @ prob.y
+    lam2 = draw(st.sampled_from([0.0, 0.1, 0.4])) * float(np.abs(a0).max())
+    lam1w = draw(st.floats(0.05, 0.9)) * float(np.linalg.norm(soft_threshold(a0, lam2)))
+    assume(lam1w > 0.0)
+    ref = fit_oracle(prob, PenaltySpec(lam1w, lam2), OracleOptions(tol=1e-15))
+    opt = ref.coefficients.beta
+    on, off = np.flatnonzero(opt), np.flatnonzero(opt == 0.0)
+    warm = opt * rng.uniform(0.5, 1.5, k)
+    kind = draw(st.sampled_from(["zero", "random", "pattern", "flip", "drop", "add"]))
+    if kind == "zero":
+        warm[:] = 0.0
+    elif kind == "random":
+        warm = rng.standard_normal(k)
+    elif kind in ("flip", "drop"):
+        j = on[draw(st.integers(0, on.size - 1))]
+        warm[j] = -warm[j] if kind == "flip" else 0.0
+    elif kind == "add":
+        assume(off.size > 0)
+        warm[off[draw(st.integers(0, off.size - 1))]] = rng.standard_normal()
+    return prob, lam1w, lam2, ref, warm, design
+
+
+@settings(max_examples=500)
+@given(case=one_block_cases())
+def test_block_minimize_is_optimal_from_any_warm_start(case):
+    # the exact solve on the warm start's support finishes a visit only when
+    # that support and its signs are the optimum's; any other warm start is
+    # corrected by coordinate passes, which then hand the support they find
+    # back to the exact solve
+    prob, lam1w, lam2, ref, warm, design = case
+    X, y, k = prob.X, prob.y, prob.p
+    a0, gram = X.T @ y, X.T @ X
+    prox = _block_prox(a0, lam1w, lam2)
+    solve = solver_module._solve_coordinate
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solver_module._solve_coordinate = counting
+    try:
+        theta = _block_minimize(a0, gram, warm, prox, lam1w, lam2, 1e-13)
+    finally:
+        solver_module._solve_coordinate = solve
+    grad = a0 - gram @ theta
+    norm = float(np.linalg.norm(theta))
+    assert norm > 0.0
+    violation = np.where(
+        theta != 0.0,
+        np.abs(grad - lam1w * theta / norm - lam2 * np.sign(theta)),
+        np.maximum(np.abs(grad) - lam2, 0.0),
+    )
+    scale = np.abs(a0) + np.abs(gram) @ np.abs(theta) + lam1w + lam2
+    assert np.all(violation <= 1e-13 * np.abs(gram).sum(axis=1) + 64 * k * EPS * scale)
+    crit = (0.5 * float(np.sum((y - X @ theta) ** 2)) + lam1w * norm
+            + lam2 * float(np.abs(theta).sum()))
+    assert crit <= ref.objective + 1e-10 * abs(ref.objective)
+    if design == "orthonormal":
+        expected = closed_form_block(a0, lam1w, lam2)
+        assert np.abs(theta - expected).max() <= 1e-10 * float(np.abs(a0).max())
+    if np.array_equal(np.sign(theta), np.sign(warm)):
+        # on the optimum's support and signs no coordinate pass is needed
+        assert not calls or not warm.any()
+    else:
+        assert calls
+
+
+def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
+    # a block visit takes at most 7 coordinate passes and its secular
+    # equation at most 5 evaluations on the benchmark's paths
+    free = _a6_style_paths()
+    rng = np.random.default_rng(1003)
+    Z, r = _correlated_block(rng, 60, 13, 0.99)
+    a0, gram = Z.T @ r, Z.T @ Z
+    lam2 = 0.02 * float(np.abs(a0).max())
+    lam1w = 0.05 * float(np.linalg.norm(soft_threshold(a0, lam2)))
+    prox = _block_prox(a0, lam1w, lam2)
+    theta = _block_minimize(a0, gram, np.zeros(13), prox, lam1w, lam2, 1e-13)
+    assert solver_module._solve_on_support(a0, gram, 2.0 * theta, lam1w, lam2) is not None
+    monkeypatch.setattr(solver_module, "_BLOCK_MAX_PASSES", 8)
+    monkeypatch.setattr(solver_module, "_SECULAR_MAX_STEPS", 8)
+    assert np.array_equal(_a6_style_paths(), free)
+    # the patched caps are the ones the solver reads: from zero this block
+    # needs 16 passes before its support settles, and its secular equation
+    # more than one evaluation from a warm start off by a factor of 2
+    monkeypatch.setattr(solver_module, "_BLOCK_MAX_PASSES", 1)
+    assert not np.array_equal(
+        _block_minimize(a0, gram, np.zeros(13), prox, lam1w, lam2, 1e-13), theta)
+    monkeypatch.setattr(solver_module, "_SECULAR_MAX_STEPS", 1)
+    assert solver_module._solve_on_support(a0, gram, 2.0 * theta, lam1w, lam2) is None
 
 
 # ------------------------------------------------------- block prox, unit step
@@ -903,6 +1020,28 @@ def test_kkt_pure_one_norm_zero_block_residual():
     assert kkt_residual(prob, np.zeros(4), PenaltySpec(0.0, 1.01 * high)).worst_violation == 0.0
     rep = kkt_residual(prob, np.zeros(4), PenaltySpec(0.0, 0.5 * high))
     assert rep.worst_violation == pytest.approx(high - 0.5 * high, rel=1e-12)
+
+
+def test_kkt_stays_finite_when_an_active_group_norm_underflows():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 12))
+    y = X[:, :3] @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(40)
+    prob = build_problem(y, X, [4, 4, 4])
+    level = 0.3 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * level, 0.5 * level)
+    beta = np.array(fit(prob, pen).coefficients.beta)
+    assert not beta[8:].any()
+    beta[8] = 1e-170  # its square, the group's squared norm, underflows to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kkt_residual(prob, beta, pen)
+    # the third group's direction is the unit vector of coordinate 8
+    grad = prob.X.T @ (prob.y - prob.X @ beta)
+    assert report.active[2]
+    assert report.per_coordinate[8] == pytest.approx(abs(grad[8] - level), rel=1e-12)
+    assert np.allclose(report.per_coordinate[9:], np.maximum(np.abs(grad[9:]) - 0.5 * level, 0.0),
+                       rtol=1e-12, atol=0.0)
+    assert np.isfinite(report.worst_violation)
 
 
 @pytest.mark.parametrize("seed", range(6))
