@@ -84,10 +84,10 @@ def _read_indexed(
     groups = np.empty(p, dtype=object)
     groups[order] = loaded.column_group_ids
     rows = _read_csv_rows(path)
-    if not rows or rows[0] != ["index", "group", value]:
+    if not rows or rows[0][1] != ["index", "group", value]:
         raise ValueError(f"{path}: expected header 'index,group,{value}'")
     values = np.full(p, np.nan)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields")
         try:

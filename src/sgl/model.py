@@ -8,6 +8,7 @@ stored means reconstitute the intercept at prediction time.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -283,12 +284,39 @@ class LoadedProblem:
         return tuple(out)
 
 
-def _read_csv_rows(path) -> list[list[str]]:
+def _open_csv(path):
     try:
-        with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh) if row]
+        return open(path, newline="")
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The file's non-blank rows, each paired with the physical line it ends on."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if row]
+
+
+# the data body's one parser; quoted cells and surrounding spaces are accepted
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _bad_data_row(path, width: int, cause: str) -> ValueError:
+    """Name the first data row the bulk parse rejects (the error path only).
+
+    Each row goes back through the same parser, its cells quoted, so a row
+    is called unparseable exactly when the bulk parse could not read it.
+    """
+    for lineno, row in _read_csv_rows(path)[1:]:
+        if len(row) != width:
+            return ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        quoted = ",".join('"' + cell.replace('"', '""') + '"' for cell in row)
+        try:
+            np.loadtxt([quoted], **_LOADTXT)
+        except ValueError:
+            return ValueError(f"{path}: line {lineno}: unparseable number")
+    return ValueError(f"{path}: {cause}")
 
 
 def load_problem_csv(data_path, groups_path, weight_mode: str = "unit") -> LoadedProblem:
@@ -297,39 +325,35 @@ def load_problem_csv(data_path, groups_path, weight_mode: str = "unit") -> Loade
     Feature columns are reordered so that the groups, taken in order of first
     appearance in the data file, occupy contiguous column ranges.
     """
-    rows = _read_csv_rows(data_path)
-    if not rows:
-        raise ValueError(f"{data_path}: empty file")
-    header = rows[0]
-    if "y" not in header:
-        raise ValueError(f"{data_path}: no 'y' column in header")
-    y_pos = header.index("y")
-    feature_names = [c for c in header if c != "y"]
-    if len(set(feature_names)) != len(feature_names):
-        raise ValueError(f"{data_path}: duplicate column names")
-    if not feature_names:
-        raise ValueError(f"{data_path}: no feature columns")
-    data = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{data_path}: line {i}: expected {len(header)} fields, got {len(row)}")
+    with _open_csv(data_path) as fh:
+        header = next((row for row in csv.reader(fh) if row), None)
+        if header is None:
+            raise ValueError(f"{data_path}: empty file")
+        if "y" not in header:
+            raise ValueError(f"{data_path}: no 'y' column in header")
+        y_pos = header.index("y")
+        feature_names = [c for c in header if c != "y"]
+        if len(set(feature_names)) != len(feature_names):
+            raise ValueError(f"{data_path}: duplicate column names")
+        if not feature_names:
+            raise ValueError(f"{data_path}: no feature columns")
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise ValueError(f"{data_path}: no data rows")
         try:
-            data.append([float(cell) for cell in row])
-        except ValueError:
-            raise ValueError(f"{data_path}: line {i}: unparseable number") from None
-    if not data:
-        raise ValueError(f"{data_path}: no data rows")
-    matrix = np.asarray(data)
-    y = matrix[:, y_pos]
-    X = np.delete(matrix, y_pos, axis=1)
+            matrix = np.loadtxt(itertools.chain([first], fh), **_LOADTXT)
+            if matrix.shape[1] != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {matrix.shape[1]}")
+        except ValueError as exc:
+            raise _bad_data_row(data_path, len(header), str(exc)) from None
 
     grows = _read_csv_rows(groups_path)
-    if not grows or [c.strip() for c in grows[0]] != ["column", "group"]:
+    if not grows or [c.strip() for c in grows[0][1]] != ["column", "group"]:
         raise ValueError(f"{groups_path}: expected header 'column,group'")
     mapping: dict[str, str] = {}
-    for i, row in enumerate(grows[1:], start=2):
+    for lineno, row in grows[1:]:
         if len(row) != 2:
-            raise ValueError(f"{groups_path}: line {i}: expected 2 fields")
+            raise ValueError(f"{groups_path}: line {lineno}: expected 2 fields")
         col, gid = row[0], row[1]
         if col in mapping:
             raise ValueError(f"{groups_path}: column {col!r} mapped twice")
@@ -349,7 +373,9 @@ def load_problem_csv(data_path, groups_path, weight_mode: str = "unit") -> Loade
         positions.setdefault(mapping[name], []).append(i)
     perm = [i for members in positions.values() for i in members]
     sizes = [len(members) for members in positions.values()]
-    problem = build_problem(y, X[:, perm], sizes, weight_mode=weight_mode)
+    # data-file column of each problem column: feature positions skip over y
+    columns = [i + (i >= y_pos) for i in perm]
+    problem = build_problem(matrix[:, y_pos], matrix[:, columns], sizes, weight_mode=weight_mode)
     return LoadedProblem(
         problem=problem,
         feature_names=tuple(feature_names[i] for i in perm),

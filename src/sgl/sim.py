@@ -166,13 +166,12 @@ def write_dataset(dataset: SimDataset, out_dir) -> dict[str, str]:
         "truth": os.path.join(out_dir, "truth.csv"),
     }
     with open(paths["data"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + names)
-        for i in range(dataset.y.size):
-            writer.writerow(
-                [repr(float(dataset.y[i]))]
-                + [repr(float(v)) for v in dataset.X[i]]
-            )
+        csv.writer(fh).writerow(["y"] + names)
+        # the bytes csv.writer would write: a float's repr needs no quoting
+        fh.writelines(
+            ",".join(map(repr, row)) + "\r\n"
+            for row in np.column_stack([dataset.y, dataset.X]).tolist()
+        )
     with open(paths["groups"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["column", "group"])

@@ -377,6 +377,18 @@ def test_check_rejects_incomplete_coefficients(tiny_dataset, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_coefficient_file_diagnostics_name_the_physical_line(tiny_dataset, tmp_path, capsys):
+    data, groups, _ = tiny_dataset
+    bad = tmp_path / "coefs.csv"
+    bad.write_text("index,group,value\n\n0,gA,1.0\n\n\n1,gB,oops\n2,gA,0.0\n3,gB,0.0\n")
+    code = run([
+        "check", "--data", str(data), "--groups", str(groups),
+        "--coefs", str(bad), "--lambda1", "1.0", "--lambda2", "1.0",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.rstrip().endswith("coefs.csv: line 6: unparseable entry")
+
+
 # ------------------------------------------------------------ argument errors
 
 def test_help_exits_zero(capsys):

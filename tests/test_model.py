@@ -342,6 +342,24 @@ def test_load_problem_weight_mode_passthrough(tmp_path):
         ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\na,g\na,h\n", "mapped twice"),
         # unknown columns are listed in groups-file order
         ("y,a\n1.0,2.0\n2.0,1.0\n", "column,group\nz,g\na,g\nb,g\n", r"column\(s\) z, b$"),
+        # diagnostics name the physical line, blank lines included
+        ("y,a\n1.0,2.0\n\n\n2.0,oops\n", "column,group\na,g\n", r"line 5: unparseable number$"),
+        ("\n\ny,a\n1.0,oops\n", "column,group\na,g\n", r"line 4: unparseable number$"),
+        ("y,a,b\n1.0,2.0,3.0\n2.0,1.0,0.0\n", "column,group\n\na,g\nb\n",
+         r"groups\.csv: line 4: expected 2 fields$"),
+        # rejected input: a trailing comma, a whitespace-only line, non-finite values
+        ("y,a\n1.0,2.0\n2.0,1.0,\n", "column,group\na,g\n", r"line 3: expected 2 fields, got 3$"),
+        ("y,a\n1.0,2.0\n \n2.0,1.0\n", "column,group\na,g\n", r"line 3: expected 2 fields, got 1$"),
+        # every row one field too many: the parse succeeds, the width check fails
+        ("y,a\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "column,group\na,g\n",
+         r"line 2: expected 2 fields, got 3$"),
+        ("y,a\n1.0,2.0\n2.0,nan\n", "column,group\na,g\n", "non-finite values"),
+        ("y,a\n-inf,2.0\n2.0,1.0\n", "column,group\na,g\n", "non-finite values"),
+        ("y,a\n1e400,2.0\n2.0,1.0\n", "column,group\na,g\n", "non-finite values"),
+        # float() reads underscore digit groups and full-width digits; the bulk
+        # parser reads neither, and no writer emits them
+        ("y,a\n1.0,2.0\n2.0,1_0\n", "column,group\na,g\n", r"line 3: unparseable number$"),
+        ("y,a\n1.0,2.0\n2.0,\uff11\n", "column,group\na,g\n", r"line 3: unparseable number$"),
     ],
 )
 def test_load_problem_diagnostics(tmp_path, data_text, groups_text, fragment):
@@ -349,6 +367,33 @@ def test_load_problem_diagnostics(tmp_path, data_text, groups_text, fragment):
     groups = _write(tmp_path / "groups.csv", groups_text)
     with pytest.raises(ValueError, match=fragment):
         load_problem_csv(data, groups)
+
+
+_PLAIN = "y,a,b\n1.5,2.0,-3.0\n2.5,0.25,1e-3\n-4.0,7.0,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # quoted cells, header included
+        '"y","a","b"\n"1.5","2.0","-3.0"\n"2.5",0.25,"1e-3"\n-4.0,"7.0",0.5\n',
+        # CRLF line endings
+        _PLAIN.replace("\n", "\r\n"),
+        # spaces and tabs around numbers
+        "y,a,b\n 1.5,2.0 , -3.0\n2.5\t,0.25,  1e-3\n-4.0, 7.0,0.5 \n",
+        # blank lines, before the header too
+        "\n\r\ny,a,b\n\n1.5,2.0,-3.0\n\r\n\n2.5,0.25,1e-3\n-4.0,7.0,0.5\n\n",
+        # no newline after the last row
+        _PLAIN.rstrip("\n"),
+    ],
+    ids=["quoted", "crlf", "spaces", "blank-lines", "no-final-newline"],
+)
+def test_load_problem_accepts_csv_variants(tmp_path, text):
+    groups = _write(tmp_path / "groups.csv", "column,group\na,g\nb,g\n")
+    loaded = load_problem_csv(_write(tmp_path / "variant.csv", text), groups).problem
+    expected = build_problem([1.5, 2.5, -4.0], [[2.0, -3.0], [0.25, 1e-3], [7.0, 0.5]], [2])
+    assert loaded.X.tobytes() == expected.X.tobytes()
+    assert loaded.y.tobytes() == expected.y.tobytes()
 
 
 def test_load_problem_missing_file_is_a_value_error(tmp_path):

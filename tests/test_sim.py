@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark generator and recovery-error counts."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from sgl.model import build_problem, load_problem_csv
 from sgl.sim import (
     SimConfig,
+    SimDataset,
     coef_misclassification,
     generate,
     group_misclassification,
@@ -180,19 +182,40 @@ def test_misclassification_rejects_mismatched_inputs():
 
 # -------------------------------------------------------------- write_dataset
 
+def _csv_writer_data_file(data: SimDataset) -> bytes:
+    """data.csv as csv.writer writes it, every number its float's repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["y"] + [f"x{i + 1:03d}" for i in range(data.config.p)])
+    for y_i, row in zip(data.y, data.X):
+        writer.writerow([repr(float(y_i))] + [repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
 def test_write_dataset_round_trips_through_loader(tmp_path):
     data = generate(SimConfig(seed=6))
-    paths = write_dataset(data, tmp_path / "out")
-    loaded = load_problem_csv(paths["data"], paths["groups"])
-    prob = loaded.problem
-    assert prob.n == 200 and prob.p == 100 and prob.n_groups == 10
-    assert loaded.feature_names[0] == "x001" and loaded.feature_names[-1] == "x100"
-    assert loaded.group_ids == tuple(f"g{k:02d}" for k in range(1, 11))
-    # repr-precision text reproduces every float bit-for-bit
-    direct = build_problem(data.y, data.X, data.config.blocks)
-    assert np.array_equal(prob.X, direct.X)
-    assert np.array_equal(prob.y, direct.y)
-    assert np.array_equal(loaded.data_positions, np.arange(100))
+    # subnormal, near-overflow, ordinary and near-underflow columns, a
+    # response near 1e299 and a few values that need all 17 digits
+    scale = np.tile([1e-310, 1e300, 1.0, 3e-308], 25)
+    X = data.X * scale
+    X[:3, 2] = [0.1 + 0.2, 1.0 / 3.0, 5e-324]
+    extreme = SimDataset(X=X, y=data.y * 1e299, beta_true=data.beta_true, config=data.config)
+    for name, draw in [("plain", data), ("extreme", extreme)]:
+        paths = write_dataset(draw, tmp_path / name)
+        with open(paths["data"], "rb") as fh:
+            assert fh.read() == _csv_writer_data_file(draw)
+        loaded = load_problem_csv(paths["data"], paths["groups"])
+        prob = loaded.problem
+        assert prob.n == 200 and prob.p == 100 and prob.n_groups == 10
+        assert loaded.feature_names[0] == "x001" and loaded.feature_names[-1] == "x100"
+        assert loaded.group_ids == tuple(f"g{k:02d}" for k in range(1, 11))
+        # repr-precision text reproduces every float bit-for-bit
+        direct = build_problem(draw.y, draw.X, draw.config.blocks)
+        assert prob.X.tobytes() == direct.X.tobytes()
+        assert prob.y.tobytes() == direct.y.tobytes()
+        assert prob.x_means.tobytes() == direct.x_means.tobytes()
+        assert prob.y_mean == direct.y_mean
+        assert np.array_equal(loaded.data_positions, np.arange(100))
 
 
 def test_write_dataset_truth_file(tmp_path):
