@@ -3,16 +3,13 @@ penalty plus an elementwise one-norm penalty.
 
 The solver cycles over a working set of coefficient blocks. Each visit
 first runs a cheap exact test deciding whether the whole block is zero at
-the optimum. An active block is then solved exactly on the support and
-signs it comes with: one eigendecomposition of the support's Gram matrix
-and Newton on a scalar secular equation, kept only when the result passes
-the block's optimality conditions. Otherwise one-coordinate updates, each
-either screened to zero or solved to machine precision by safeguarded
-Newton on its stationarity equation, search for the support and hand each
-sign pattern they settle on back to the exact solve. Blocks outside the
-working set stay zero and are screened all at once whenever the working set
-settles. A fixed point of these rules is a global optimum of the convex
-criterion.
+the optimum. An active block is then minimized by active-set steps, each an
+exact solve on a support and its signs: one eigendecomposition of the
+support's Gram matrix and Newton on a scalar secular equation. A block
+without a group penalty is a lasso, minimized by closed-form coordinate
+shrinks. Blocks outside the working set stay zero and are screened all at
+once whenever the working set settles. A fixed point of these rules is a
+global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -39,17 +36,13 @@ __all__ = [
     "kkt_residual",
 ]
 
-# A coordinate solve takes at most 8 passes of its Newton loop on the
-# benchmark's paths and 10 on adversarial draws (csq down to 1e-300, the
-# penalties cancelling |b|); the cap only guards against a defect
-_NEWTON_MAX_STEPS = 100
-# The secular equation of a block's exact solve takes at most 5 evaluations
-# on the benchmark's paths; a solve that reaches the cap is dropped for
-# coordinate passes
+# The secular equation of a face solve takes at most 5 evaluations on the
+# benchmark's paths; a solve that reaches the cap fails, and the block
+# restarts from the origin step
 _SECULAR_MAX_STEPS = 50
-# A block visit takes at most 7 coordinate passes on the benchmark's paths;
-# the cap only guards against a defect
-_BLOCK_MAX_PASSES = 500
+# A block visit takes at most 7 active-set steps on the benchmark's paths;
+# this cap, also on a lasso block's passes, only guards against a defect
+_BLOCK_MAX_STEPS = 500
 
 
 def soft_threshold(z, lam):
@@ -116,8 +109,9 @@ class SolverOptions:
     is below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep
     moves nothing by more than ``1e-4 * outer_tol`` while that gate fails
     stops there, reported as not converged. ``max_sweeps`` caps the
-    working-set sweeps. Each coordinate is solved to machine precision, so
-    ``inner_tol`` is validated but changes no result.
+    working-set sweeps. Blocks are solved exactly, or, without a group
+    term, by coordinate passes to ``outer_tol / 10``; ``inner_tol`` is
+    validated but changes no result.
     """
 
     outer_tol: float = 1e-7
@@ -133,106 +127,19 @@ class SolverOptions:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
 
-def _solve_coordinate(
-    b: float, colsq: float, csq: float, lam1w: float, lam2: float,
-    old: float, skip_move: float = 0.0,
-) -> float:
-    """Minimize the criterion over one coordinate of one block.
-
-    ``b`` is the column against the coordinate's partial residual, ``colsq``
-    the column's squared norm, ``csq`` the squared norm of the rest of the
-    block. When the first-order residual at the current value bounds the
-    possible move below ``skip_move`` (the curvature is at least ``colsq``),
-    the current value is kept without solving. Otherwise returns the
-    restricted minimizer to machine precision, so it is never worse than
-    the current value.
-    """
-    if colsq <= 0.0:
-        return 0.0
-    if abs(b) < lam2:
-        return 0.0
-    if lam1w == 0.0 or csq == 0.0:
-        # group-norm term is |theta| (or absent): closed-form shrinkage, in
-        # the bits of soft_threshold (np.sign(-0.0) is +0.0, hence `if b`)
-        shrunk = max(abs(b) - (lam1w + lam2), 0.0)
-        return math.copysign(shrunk, b) / colsq if b else 0.0
-    if old != 0.0:
-        deriv = (
-            colsq * old
-            - b
-            + lam1w * old / math.sqrt(old * old + csq)
-            + (lam2 if old > 0.0 else -lam2)
-        )
-        if abs(deriv) <= skip_move * colsq:
-            return old
-    elif abs(b) - lam2 <= skip_move * colsq:
-        return 0.0
-
-    # With csq > 0 the group term is flat at zero, so zero is optimal only
-    # when |b| <= lam2, screened above; the minimizer is the root on the
-    # sign(b) side of the stationarity equation
-    #     colsq * u - gap + lam1w * u / r = 0,  r = sqrt(u^2 + csq),
-    # in u = |theta|, with gap = |b| - lam2 > 0. Its left side is strictly
-    # increasing and concave, so Newton from the left never passes the
-    # root, and one step from the right lands left of it.
-    mag = abs(b)
-    side = 1.0 if b > 0.0 else -1.0
-    gap = mag - lam2
-    lo_u, hi_u = 0.0, gap / colsq
-    u = min(max(side * old, lo_u), hi_u)
-    step = 0.0
-    for _ in range(_NEWTON_MAX_STEPS):
-        radius = math.sqrt(u * u + csq)
-        group = lam1w * u / radius
-        slope = colsq * u - mag + lam2 + group
-        # below the evaluation noise of its own terms the slope carries no
-        # sign information and the root is resolved to machine precision
-        if abs(slope) <= 4e-16 * (colsq * u + mag + lam2 + group):
-            break
-        if slope > 0.0:
-            hi_u = u
-        else:
-            lo_u = u
-        # csq / radius**3 without the cube, which underflows to zero at
-        # small u for csq below about 1e-200
-        curve = colsq + lam1w * (csq / radius) / radius / radius
-        nxt = u - slope / curve
-        inside = lo_u < nxt < hi_u
-        # A step from the left longer than the last one means Newton is
-        # climbing the group term's bend, one step per factor of 1.5 when
-        # csq is tiny against the root. Then, or off the bracket, bisect
-        # between the evaluated bracket and closed-form bounds on the root
-        # (their rounding only steers the iterate): the tangent at zero
-        # crosses zero below the root; the group term lies in [0, lam1w],
-        # below lam1w by at most lam1w * csq / (2 u^2), and alone reaches
-        # gap beyond the root when lam1w > gap.
-        if not inside or (slope < 0.0 and abs(nxt - u) > step > 0.0):
-            excess = (gap - lam1w) / colsq
-            low = max(lo_u, excess, gap / (colsq + lam1w / math.sqrt(csq)))
-            high = min(hi_u, max(2.0 * excess, (lam1w * csq / colsq) ** (1 / 3)))
-            if lam1w > gap:
-                high = min(high, gap * math.sqrt(csq / (lam1w - gap) / (lam1w + gap)))
-            mid = 0.5 * (low + high)
-            nxt = max(nxt, mid) if inside else mid
-        if abs(nxt - u) <= 4e-16 * abs(u):
-            u = nxt
-            break
-        step = abs(nxt - u)
-        u = nxt
-    return side * u
-
-
 def _solve_on_support(
-    a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, lam1w: float, lam2: float,
+    a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, signs: np.ndarray,
+    lam1w: float, lam2: float,
 ) -> np.ndarray | None:
-    """The block minimizer when it has the support and signs of ``theta``,
-    else None. Needs ``lam1w > 0``.
+    """The block minimizer on the face of ``signs``, free of their sign
+    constraints; ``theta``, a point of the face, seeds it. Needs ``lam1w > 0``.
 
-    On a support S with signs s the criterion is smooth, and its minimizer
-    solves ``(G_SS + t I) theta_S = a0_S - lam2 s`` with
-    ``t = lam1w / ||theta_S||``. With ``G_SS = V diag(mu) V'`` (``mu``
-    clipped at 0) and ``w = V'(a0_S - lam2 s)``, ``sigma = 1 / t`` is the
-    root of the secular equation
+    On the support S of ``signs``, with their signs s, the one-norm term is
+    linear and the criterion smooth; its minimizer solves
+    ``(G_SS + t I) theta_S = a0_S - lam2 s`` with ``t = lam1w / ||theta_S||``.
+    With ``G_SS = V diag(mu) V'`` (``mu`` clipped at 0) and
+    ``w = V'(a0_S - lam2 s)``, ``sigma = 1 / t`` is the root of the secular
+    equation
 
         F(sigma) = sum_i w_i^2 / (1 + mu_i sigma)^2 - lam1w^2 = 0,
 
@@ -242,22 +149,38 @@ def _solve_on_support(
     has the same root and is concave and increasing, so from the warm start
     ``||theta|| / lam1w`` it lands left of the root in at most one step and
     then climbs to it monotonically, in few steps even where ``F`` flattens
-    like ``1/sigma^2``. The result is returned only when its signs are ``s``
-    and every coordinate off S has ``|(a0 - G theta)_j| <= lam2``: with
-    stationarity on S these are the block's optimality conditions, so a
-    returned block is its minimizer.
+    like ``1/sigma^2``. When ``||w|| <= lam1w`` the minimizer is the origin.
+    When the part ``w_0`` of ``w`` on the null directions ``V_0`` of
+    ``G_SS`` has ``||w_0|| >= lam1w``, there is none: the criterion falls at
+    least at rate ``||w_0|| - lam1w`` along ``V_0 w_0``, and the point
+    returned is where that ray from ``theta`` first zeroes a coordinate.
+    Returns None when it zeroes none or the secular equation reaches its
+    cap.
     """
-    support = np.flatnonzero(theta)
-    signs = np.sign(theta[support])
+    support = np.flatnonzero(signs)
+    s = signs[support]
     mu, V = np.linalg.eigh(gram[support][:, support])
     mu = np.maximum(mu, 0.0)
-    w = V.T @ (a0[support] - lam2 * signs)
+    w = V.T @ (a0[support] - lam2 * s)
     pairs = list(zip(mu.tolist(), (w * w).tolist()))
     target = lam1w * lam1w
+    out = np.zeros_like(theta)
     # F falls from ||w||^2 at 0 to the weight of the null directions at
     # infinity; a root needs the first above lam1w^2 and the second below
-    if sum(q for _, q in pairs) <= target or sum(q for m, q in pairs if m == 0.0) >= target:
-        return None
+    if sum(q for _, q in pairs) <= target:
+        return out
+    if sum(q for m, q in pairs if m == 0.0) >= target:
+        null = mu == 0.0
+        ray = V[:, null] @ w[null]
+        start = theta[support]
+        ahead = np.flatnonzero(ray * s < 0.0)
+        if not ahead.size:
+            return None
+        steps = -start[ahead] / ray[ahead]
+        first = int(np.argmin(steps))
+        out[support] = start + steps[first] * ray
+        out[support[ahead[first]]] = 0.0
+        return out
     sigma = math.sqrt(float(theta @ theta)) / lam1w
     for _ in range(_SECULAR_MAX_STEPS):
         f, slope, scale = -target, 0.0, target
@@ -285,15 +208,39 @@ def _solve_on_support(
         sigma = nxt
     else:
         return None
-    theta_s = V @ (w * (sigma / (1.0 + sigma * mu)))
-    if not np.array_equal(np.sign(theta_s), signs):
-        return None
-    out = np.zeros_like(theta)
-    out[support] = theta_s
-    grad = a0 - gram @ out
-    if np.abs(grad[out == 0.0]).max(initial=0.0) > lam2:
-        return None
+    out[support] = V @ (w * (sigma / (1.0 + sigma * mu)))
     return out
+
+
+def _lasso_passes(
+    a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, lam2: float, tol: float,
+) -> np.ndarray:
+    """Minimize a block without a group term, a lasso, by cyclic closed-form
+    coordinate shrinks until no pass moves a coordinate by more than ``tol``.
+    Each pass runs on Python floats: the gradient ``a0 - gram @ theta`` is
+    formed exactly at its start, and a coordinate that moves by ``d``
+    subtracts ``d`` times its Gram row (glmnet's covariance update), so
+    rounding drift never outlives a pass."""
+    theta = np.array(theta0, dtype=float)
+    rows = gram.tolist()
+    diag = np.diagonal(gram).tolist()
+    for _ in range(_BLOCK_MAX_STEPS):
+        grad = (a0 - gram @ theta).tolist()
+        th = theta.tolist()
+        max_move = 0.0
+        for j, colsq in enumerate(diag):
+            old = th[j]
+            b = grad[j] + colsq * old
+            new = math.copysign(abs(b) - lam2, b) / colsq if colsq > 0.0 and abs(b) > lam2 else 0.0
+            if new != old:
+                th[j] = new
+                d = new - old
+                max_move = max(max_move, abs(d))
+                grad = [g - r * d for g, r in zip(grad, rows[j])]
+        theta = np.array(th)
+        if max_move <= tol:
+            break
+    return theta
 
 
 def _block_minimize(
@@ -308,65 +255,63 @@ def _block_minimize(
     matrix, which together determine the criterion's restriction up to a
     constant, and ``prox`` the nonzero :func:`_block_prox` of ``a0``.
 
-    With ``lam1w > 0`` the block is first solved exactly on the support and
-    signs of ``theta0`` (:func:`_solve_on_support`); when those are the
-    optimum's, that is the whole visit. Otherwise cyclic coordinate updates
-    search for the support, and after each pass that leaves the sign pattern
-    unchanged, a pattern not tried yet goes to the exact solve. The passes
-    repeat until the largest move falls below ``tol`` or an exact solve is
-    accepted; a coordinate whose first-order residual bounds its move below
-    ``tol`` is not solved. Each pass runs on Python floats: the block
-    gradient ``a0 - gram @ theta`` and ``||theta||^2`` are formed exactly at
-    its start, and a coordinate that moves by ``d`` subtracts ``d`` times its
-    Gram row from the gradient (glmnet's covariance update), so rounding
-    drift never outlives a pass. When the iterate sits exactly at the
-    origin, no single coordinate may be able to move (each one-coordinate
-    restriction is minimized at zero even though the block optimum is not
-    the origin); the loop then takes the exact minimizing step along
-    ``prox``, the soft-thresholded gradient direction, which is guaranteed
-    to descend, before resuming coordinate updates.
+    With ``lam1w > 0`` this is the active-set method of Osborne, Presnell
+    & Turlach (2000) for the lasso, carried to the block. Each step solves
+    the block exactly on a face, a support and its signs
+    (:func:`_solve_on_support`), first on the face of ``theta0``. When the
+    face minimizer flips a sign, the iterate moves toward it to the first
+    zero on the segment and drops that coordinate: the criterion is the
+    face's up to there, convex along the segment, so the move descends.
+    Otherwise the iterate becomes the face minimizer, and the off-support
+    coordinate with the largest ``|(a0 - G theta)_j| > lam2`` joins the face
+    with that gradient's sign, which the next face minimizer keeps. When
+    none is left, the block's optimality conditions hold, so a warm start
+    on the optimum's face takes one face solve. A zero ``theta0`` starts at
+    the origin step, the exact minimizing step along ``prox`` (the
+    soft-thresholded gradient, a descent direction at the origin); a
+    support that empties or a failed face solve restarts there, once.
+    With ``lam1w == 0`` the block is a lasso (:func:`_lasso_passes`).
     """
+    if lam1w == 0.0:
+        return _lasso_passes(a0, gram, theta0, lam2, tol)
     theta = np.array(theta0, dtype=float)
-    tried = np.sign(theta)
-    if lam1w > 0.0 and theta.any():
-        exact = _solve_on_support(a0, gram, theta, lam1w, lam2)
-        if exact is not None:
-            return exact
-    rows = gram.tolist()
-    diag = np.diagonal(gram).tolist()
-    for _ in range(_BLOCK_MAX_PASSES):
-        if lam1w > 0.0 and not theta.any() and bool(np.all(np.abs(a0) <= lam1w + lam2)):
+    signs = np.sign(theta)
+    can_restart = True
+    for _ in range(_BLOCK_MAX_STEPS):
+        face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2) if signs.any() else None
+        if face is None:
+            if not can_restart:
+                break
+            can_restart = False
             # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
             # the minimizing step at unit curvature, rescaled to u'Gu
             u = prox / float(np.linalg.norm(prox))
             theta = prox / max(float(u @ gram @ u), 1e-300)
-        before = np.sign(theta)
-        grad = (a0 - gram @ theta).tolist()
-        normsq = float(theta @ theta)
-        th = theta.tolist()
-        max_move = 0.0
-        for j, colsq in enumerate(diag):
-            old = th[j]
-            b = grad[j] + colsq * old
-            csq = max(normsq - old * old, 0.0)
-            new = _solve_coordinate(b, colsq, csq, lam1w, lam2, old, tol)
-            if new != old:
-                th[j] = new
-                normsq = max(normsq + new * new - old * old, 0.0)
-                d = new - old
-                max_move = max(max_move, abs(d))
-                grad = [g - r * d for g, r in zip(grad, rows[j])]
-        theta = np.array(th)
-        if max_move <= tol:
+            signs = np.sign(theta)
+            continue
+        flipped = np.flatnonzero(np.sign(face) != signs)
+        # signs constrain a face only through the one-norm term
+        if lam2 > 0.0 and flipped.size:
+            # coordinate j of the segment reaches zero at the share
+            # |theta_j| / (|theta_j| + |face_j|) of it, at once if theta_j = 0
+            here = np.abs(theta[flipped])
+            shares = np.divide(here, here + np.abs(face[flipped]),
+                               out=np.zeros_like(here), where=here > 0.0)
+            first = int(np.argmin(shares))
+            theta = theta + shares[first] * (face - theta)
+            # rounding may carry a coordinate tied with the first past zero
+            gone = theta * signs < 0.0
+            gone[flipped[first]] = True
+            theta[gone] = 0.0
+            signs[gone] = 0.0
+            continue
+        theta = face
+        grad = a0 - gram @ theta
+        off = np.where(signs == 0.0, np.abs(grad), 0.0)
+        j = int(np.argmax(off))
+        if off[j] <= lam2:
             break
-        # a pass that keeps the sign pattern suggests the support is found;
-        # each pattern gets one exact solve
-        pattern = np.sign(theta)
-        if lam1w > 0.0 and np.array_equal(pattern, before) and not np.array_equal(pattern, tried):
-            tried = pattern
-            exact = _solve_on_support(a0, gram, theta, lam1w, lam2)
-            if exact is not None:
-                return exact
+        signs[j] = np.sign(grad[j])
     return theta
 
 
@@ -394,9 +339,9 @@ def fit(
     one block gradient against the block's partial residual, ``Z'r + G b``
     (``Z'r`` for a zero block; the block Gram ``G`` is built on the block's
     first nonzero visit), zeroes the block when the test allows it and
-    otherwise minimizes over the block: exactly on the block's current
-    support and signs when those are the optimum's, else by coordinate
-    passes that search for them (see :func:`_block_minimize`). Every other
+    otherwise minimizes over the block by active-set steps from its current
+    support and signs, each an exact solve (see :func:`_block_minimize`; a
+    block without a group term by coordinate shrinks). Every other
     group stays exactly zero. A visit that changes the block by ``d``
     accepts the change only when the criterion's exact change,
     ``Zd'(Zd/2 - r)`` plus the block penalty's change, is at most 1e-14 of

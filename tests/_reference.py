@@ -78,33 +78,6 @@ def dense_scan(f, lower: float, upper: float, num: int = 2_000_001):
     return float(grid[k]), float(values[k])
 
 
-def coordinate_restriction(Z, r_j, theta, j, lam1w, lam2):
-    """The block criterion as a vectorized function of coordinate ``j`` alone,
-    the other coordinates held at ``theta`` (``r_j`` excludes j's contribution)."""
-    Z = np.asarray(Z, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    others = np.delete(theta, j)
-    csq = float(others @ others)
-    l1_rest = float(np.abs(others).sum())
-    col = Z[:, j]
-    colsq = float(col @ col)
-    b = float(col @ r_j)
-    r0 = float(r_j @ r_j)
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return (
-            0.5 * r0
-            - b * t
-            + 0.5 * colsq * t * t
-            + lam1w * np.sqrt(csq + t * t)
-            + lam2 * (l1_rest + np.abs(t))
-        )
-
-    return f
-
-
 def box_grid_min(a, lam2, num: int = 201) -> float:
     """min over the [-1,1]^k grid of sum_j (a_j - lam2*t_j)^2, by exhaustive
     enumeration (k is expected to be at most 3)."""
