@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Coefficients, GroupedProblem, PenaltySpec, _group_norms
-from .solver import SolverOptions, _zero_test_excess, fit
+from .solver import SolverOptions, _sharing_block_cache, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
 
@@ -122,7 +122,15 @@ def fit_path(
 ) -> PathResult:
     """Fit the whole grid in decreasing order, warm-starting each level from
     the previous solution. Non-convergence at a level is recorded on its
-    PathPoint, not raised."""
+    PathPoint, not raised.
+
+    The levels share what does not depend on the penalty: each block's Gram
+    matrix, the eigendecomposition of its Gram on the support of its last
+    face solve, and the KKT gate's scale. So a Gram is built once per path
+    and a block whose support holds across sweeps and levels decomposes it
+    once; each level's result is the same as a lone :func:`fit` from the
+    same warm start.
+    """
     spec = spec or PathSpec()
     opts = opts or SolverOptions()
     lmax = lambda_max(problem, spec.mixing)
@@ -133,23 +141,24 @@ def fit_path(
     alpha = spec.mixing
     warm: Coefficients | None = None
     points: list[PathPoint] = []
-    for lam in lambdas:
-        penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)
-        result = fit(problem, penalty, opts=opts, warm=warm)
-        warm = result.coefficients
-        points.append(
-            PathPoint(
-                lam=float(lam),
-                penalty=penalty,
-                coefficients=result.coefficients,
-                objective=result.objective,
-                sweeps=result.sweeps,
-                converged=result.converged,
-                kkt_worst=result.kkt.worst_violation,
-                n_active_groups=int(result.kkt.active.sum()),
-                n_nonzero=result.coefficients.n_nonzero,
+    with _sharing_block_cache(problem):
+        for lam in lambdas:
+            penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)
+            result = fit(problem, penalty, opts=opts, warm=warm)
+            warm = result.coefficients
+            points.append(
+                PathPoint(
+                    lam=float(lam),
+                    penalty=penalty,
+                    coefficients=result.coefficients,
+                    objective=result.objective,
+                    sweeps=result.sweeps,
+                    converged=result.converged,
+                    kkt_worst=result.kkt.worst_violation,
+                    n_active_groups=int(result.kkt.active.sum()),
+                    n_nonzero=result.coefficients.n_nonzero,
+                )
             )
-        )
     return PathResult(
         lambdas=lambdas,
         points=tuple(points),

@@ -15,7 +15,10 @@ global optimum of the convex criterion.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +130,80 @@ class SolverOptions:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
 
+class _FaceSlot:
+    """One block's last face support and the eigendecomposition of its Gram
+    there, ``(support, mu, V)`` with ``mu`` clipped at 0.
+
+    A face solve on the same support reuses them and one on another support
+    replaces them, so a slot holds one decomposition at a time. It belongs
+    to one Gram matrix: the support alone is its key.
+    """
+
+    __slots__ = ("key", "support", "mu", "V")
+
+    def __init__(self):
+        self.key = None
+
+    def decompose(self, gram: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+        key = (signs != 0.0).tobytes()
+        if key != self.key:
+            support = np.flatnonzero(signs)
+            mu, V = np.linalg.eigh(gram[support][:, support])
+            self.key, self.support, self.mu, self.V = key, support, np.maximum(mu, 0.0), V
+        return self.support, self.mu, self.V
+
+
+class _BlockCache:
+    """What every fit of one problem can share, whatever its penalty: each
+    block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
+    visit, so groups that never enter cost nothing, and the scale
+    ``max(1, ||X'y||_inf)`` of the KKT gate.
+
+    A block holds its Gram and at most one decomposition of a principal
+    submatrix of it, so the cache holds at most about twice the Grams'
+    sum of k_g^2 floats.
+    """
+
+    def __init__(self, problem: GroupedProblem):
+        self.problem = problem
+        self._blocks: list[tuple[np.ndarray, _FaceSlot] | None] = [None] * problem.n_groups
+
+    def block(self, ell: int) -> tuple[np.ndarray, _FaceSlot]:
+        """Block ``ell``'s Gram matrix and face slot."""
+        entry = self._blocks[ell]
+        if entry is None:
+            Z = self.problem.X[:, self.problem.slices[ell]]
+            entry = self._blocks[ell] = (Z.T @ Z, _FaceSlot())
+        return entry
+
+    @cached_property
+    def gate_scale(self) -> float:
+        return max(1.0, float(np.abs(self.problem.X.T @ self.problem.y).max()))
+
+
+# the cache that the fits of one problem share inside _sharing_block_cache
+_shared_cache: ContextVar[_BlockCache | None] = ContextVar("_shared_cache", default=None)
+
+
+@contextmanager
+def _sharing_block_cache(problem: GroupedProblem):
+    """Let every :func:`fit` of ``problem`` inside the ``with`` block share one
+    :class:`_BlockCache`, as :func:`sgl.path.fit_path`'s levels do.
+
+    The levels keep calling the public ``fit`` (whose binding in
+    ``sgl.path`` perfbench's tracer times), and a context variable keeps
+    the sharing to this thread or task and to this very problem.
+    """
+    token = _shared_cache.set(_BlockCache(problem))
+    try:
+        yield
+    finally:
+        _shared_cache.reset(token)
+
+
 def _solve_on_support(
     a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, signs: np.ndarray,
-    lam1w: float, lam2: float,
+    lam1w: float, lam2: float, slot: _FaceSlot | None = None,
 ) -> np.ndarray | None:
     """The block minimizer on the face of ``signs``, free of their sign
     constraints; ``theta``, a point of the face, seeds it. Needs ``lam1w > 0``.
@@ -156,11 +230,14 @@ def _solve_on_support(
     returned is where that ray from ``theta`` first zeroes a coordinate.
     Returns None when it zeroes none or the secular equation reaches its
     cap.
+
+    The decomposition comes from ``slot``, the block's :class:`_FaceSlot`,
+    when its support is this one, and is computed and stored there
+    otherwise (in a fresh slot when none is given). ``eigh`` sees the same
+    matrix either way, so reuse changes no result.
     """
-    support = np.flatnonzero(signs)
+    support, mu, V = (_FaceSlot() if slot is None else slot).decompose(gram, signs)
     s = signs[support]
-    mu, V = np.linalg.eigh(gram[support][:, support])
-    mu = np.maximum(mu, 0.0)
     w = V.T @ (a0[support] - lam2 * s)
     pairs = list(zip(mu.tolist(), (w * w).tolist()))
     target = lam1w * lam1w
@@ -245,7 +322,7 @@ def _lasso_passes(
 
 def _block_minimize(
     a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, prox: np.ndarray,
-    lam1w: float, lam2: float, tol: float,
+    lam1w: float, lam2: float, tol: float, slot: _FaceSlot | None = None,
 ) -> np.ndarray:
     """Minimize the criterion over one block whose zero test fails, the rest
     of the fit fixed.
@@ -270,6 +347,7 @@ def _block_minimize(
     the origin step, the exact minimizing step along ``prox`` (the
     soft-thresholded gradient, a descent direction at the origin); a
     support that empties or a failed face solve restarts there, once.
+    Every face solve goes through ``slot``, the block's :class:`_FaceSlot`.
     With ``lam1w == 0`` the block is a lasso (:func:`_lasso_passes`).
     """
     if lam1w == 0.0:
@@ -278,7 +356,7 @@ def _block_minimize(
     signs = np.sign(theta)
     can_restart = True
     for _ in range(_BLOCK_MAX_STEPS):
-        face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2) if signs.any() else None
+        face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2, slot) if signs.any() else None
         if face is None:
             if not can_restart:
                 break
@@ -316,7 +394,9 @@ def _block_minimize(
 
 
 def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
-    return lam1w * float(np.linalg.norm(theta)) + lam2 * float(np.abs(theta).sum())
+    # on Python floats: numpy's per-call overhead dwarfs a block's arithmetic
+    t = theta.tolist()
+    return lam1w * math.hypot(*t) + lam2 * sum(map(abs, t))
 
 
 def _screen(problem: GroupedProblem, res: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -337,8 +417,7 @@ def fit(
     Sweeps cyclically over a working set of groups: those nonzero at the
     start plus those failing the exact zero test there. Each visit forms
     one block gradient against the block's partial residual, ``Z'r + G b``
-    (``Z'r`` for a zero block; the block Gram ``G`` is built on the block's
-    first nonzero visit), zeroes the block when the test allows it and
+    (``Z'r`` for a zero block), zeroes the block when the test allows it and
     otherwise minimizes over the block by active-set steps from its current
     support and signs, each an exact solve (see :func:`_block_minimize`; a
     block without a group term by coordinate shrinks). Every other
@@ -357,6 +436,14 @@ def fit(
     of it. With both penalties zero this is plain least squares; a
     rank-deficient design then sets ``degenerate`` (the returned solution
     is one minimizer among many).
+
+    What does not depend on the penalty sits in a :class:`_BlockCache`: the
+    block Gram ``G``, built on the block's first nonzero visit, the
+    eigendecomposition of ``G`` on the support of the block's last face
+    solve, reused while that support holds, and the gate's scale
+    ``max(1, ||X'y||_inf)``. Each call makes a fresh one, except inside
+    :func:`sgl.path.fit_path`, whose levels share one; the results are the
+    same either way.
     """
     opts = opts or SolverOptions()
     X, y = problem.X, problem.y
@@ -367,17 +454,10 @@ def fit(
         beta = np.array(problem.coefficients(warm).beta, dtype=float)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     slices = problem.slices
-    # block Grams are built on a block's first nonzero visit, so groups that
-    # never enter cost nothing
-    grams: list[np.ndarray | None] = [None] * problem.n_groups
-
-    def block_gram(ell: int) -> np.ndarray:
-        if grams[ell] is None:
-            Z = X[:, slices[ell]]
-            grams[ell] = Z.T @ Z
-        return grams[ell]
-
-    kkt_gate = 5.0 * opts.outer_tol * max(1.0, float(np.abs(X.T @ y).max()))
+    cache = _shared_cache.get()
+    if cache is None or cache.problem is not problem:
+        cache = _BlockCache(problem)
+    kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
     block_tol = opts.outer_tol / 10.0
 
     res = y - X @ beta if beta.any() else y.copy()
@@ -405,11 +485,12 @@ def fit(
             # the block gradient against the block's partial residual
             a = Z.T @ res
             if bl.any():
-                a += block_gram(ell) @ bl
+                a += cache.block(ell)[0] @ bl
             lam1w = lam1 * float(problem.weights[ell])
             new_bl = _block_prox(a, lam1w, lam2)
             if new_bl.any():
-                new_bl = _block_minimize(a, block_gram(ell), bl, new_bl, lam1w, lam2, block_tol)
+                gram, slot = cache.block(ell)
+                new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, block_tol, slot)
             d = new_bl - bl
             if d.any():
                 Zd = Z @ d

@@ -214,3 +214,31 @@ def test_path_lambdas_are_read_only():
     result = fit_path(prob, PathSpec(n_points=4, ratio_min=0.1), SolverOptions())
     with pytest.raises(ValueError):
         result.lambdas[0] = 0.0
+
+
+def _sim_problem():
+    data = generate(SimConfig(seed=1))
+    return build_problem(data.y, data.X, data.config.blocks)
+
+
+def _unequal_problem():
+    return random_problem(np.random.default_rng(64), 50, [1, 3, 17, 40], weight_mode="sqrt-size")
+
+
+@pytest.mark.parametrize(
+    "make, mixing",
+    [(_sim_problem, 0.0), (_sim_problem, 0.5), (_sim_problem, 1.0), (_unequal_problem, 0.5)],
+)
+def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
+    # the levels of a path share one block cache (Grams, each block's last
+    # support decomposition, the KKT gate's scale); a loop of public fits
+    # builds all of it afresh at every level, and must give the same bits
+    prob = make()
+    opts = SolverOptions(outer_tol=1e-5)
+    result = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=mixing), opts)
+    warm = None
+    for lam, pt in zip(result.lambdas, result.points):
+        alone = fit(prob, _split(mixing, lam), opts, warm)
+        assert np.array_equal(alone.coefficients.beta, pt.coefficients.beta)
+        assert alone.sweeps == pt.sweeps
+        warm = alone.coefficients

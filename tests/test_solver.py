@@ -392,6 +392,64 @@ def test_block_minimize_is_optimal_from_any_warm_start(case):
         assert (len(calls) == 1) == np.array_equal(np.sign(theta), np.sign(warm))
 
 
+def test_a_face_slot_reused_across_supports_gives_fresh_results():
+    # one block's slot sees warm starts on different supports in turn,
+    # some repeated after another support overwrote it; every face solve and
+    # block minimization must equal one from a fresh slot
+    rng = np.random.default_rng(1004)
+    Z, r = _correlated_block(rng, 60, 6, 0.5)
+    a0, gram = Z.T @ r, Z.T @ Z
+    lam2 = 0.05 * float(np.abs(a0).max())
+    lam1w = 0.1 * float(np.linalg.norm(soft_threshold(a0, lam2)))
+    prox = _block_prox(a0, lam1w, lam2)
+    slot = solver_module._FaceSlot()
+    starts = [rng.standard_normal(6) * (rng.random(6) < 0.6) for _ in range(6)]
+    for theta in starts + starts[::-1] + [2.0 * t for t in starts]:
+        signs = np.sign(theta)
+        if signs.any():
+            shared = solver_module._solve_on_support(a0, gram, theta, signs, lam1w, lam2, slot)
+            fresh = solver_module._solve_on_support(a0, gram, theta, signs, lam1w, lam2)
+            assert (shared is None) == (fresh is None)
+            assert shared is None or np.array_equal(shared, fresh)
+        shared = _block_minimize(a0, gram, theta, prox, lam1w, lam2, 1e-13, slot)
+        assert np.array_equal(shared, _block_minimize(a0, gram, theta, prox, lam1w, lam2, 1e-13))
+
+
+def test_path_decomposes_a_block_only_when_its_support_changes(monkeypatch):
+    # a block's Gram is the same at every level of a path and its support
+    # rarely changes, so most face solves reuse the block's last
+    # decomposition: 97 of this path's 1325 face solves decompose, against
+    # 149 when each level's fit starts a cache of its own
+    eigh, solve = np.linalg.eigh, solver_module._solve_on_support
+    counts = {"eigh": 0, "face": 0}
+
+    def counting_eigh(*args):
+        counts["eigh"] += 1
+        return eigh(*args)
+
+    def counting_solve(*args):
+        counts["face"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver_module, "_solve_on_support", counting_solve)
+    data = generate(SimConfig(seed=1))
+    prob = build_problem(data.y, data.X, data.config.blocks)
+    opts = SolverOptions(outer_tol=1e-5)
+    path = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
+    on_path = dict(counts)
+    assert on_path["face"] > 100
+    assert 4 * on_path["eigh"] <= on_path["face"]
+    # the path's cache does not outlive it, and lone fits share nothing
+    assert solver_module._shared_cache.get() is None
+    counts.update(eigh=0, face=0)
+    warm = None
+    for pt in path.points:
+        warm = fit(prob, pt.penalty, opts, warm).coefficients
+    assert counts["face"] == on_path["face"]
+    assert counts["eigh"] > on_path["eigh"]
+
+
 def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
     # a block visit takes at most 5 active-set steps and its secular
     # equation at most 5 evaluations on the benchmark's paths
