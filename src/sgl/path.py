@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Coefficients, GroupedProblem, PenaltySpec, _group_norms
-from .solver import SolverOptions, _sharing_block_cache, _zero_test_excess, fit
+from .solver import SolverOptions, _block_cache, _sharing_block_cache, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
 
@@ -79,8 +79,9 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
     # X'y, formed as fit's first screen forms it at beta = 0 and tested by
-    # the same zero-test kernel with the same level split
-    grad = problem.X.T @ problem.y
+    # the same zero-test kernel with the same level split; inside fit_path
+    # the levels' shared block cache holds it for their KKT gate
+    grad = _block_cache(problem).xty
     sup = float(np.abs(grad).max())
     if sup == 0.0:
         return 0.0
@@ -126,22 +127,22 @@ def fit_path(
 
     The levels share what does not depend on the penalty: each block's Gram
     matrix, the eigendecomposition of its Gram on the support of its last
-    face solve, and the KKT gate's scale. So a Gram is built once per path
-    and a block whose support holds across sweeps and levels decomposes it
-    once; each level's result is the same as a lone :func:`fit` from the
-    same warm start.
+    face solve, and ``X'y``, formed once for :func:`lambda_max` and the KKT
+    gate's scale. So a Gram is built once per path and a block whose
+    support holds across sweeps and levels decomposes it once; each level's
+    result is the same as a lone :func:`fit` from the same warm start.
     """
     spec = spec or PathSpec()
     opts = opts or SolverOptions()
-    lmax = lambda_max(problem, spec.mixing)
-    if lmax <= 0.0:
-        raise ValueError("response carries no signal: the all-zero level is 0")
-    exponents = np.linspace(0.0, 1.0, int(spec.n_points))
-    lambdas = lmax * spec.ratio_min**exponents
     alpha = spec.mixing
     warm: Coefficients | None = None
     points: list[PathPoint] = []
     with _sharing_block_cache(problem):
+        lmax = lambda_max(problem, alpha)
+        if lmax <= 0.0:
+            raise ValueError("response carries no signal: the all-zero level is 0")
+        exponents = np.linspace(0.0, 1.0, int(spec.n_points))
+        lambdas = lmax * spec.ratio_min**exponents
         for lam in lambdas:
             penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)
             result = fit(problem, penalty, opts=opts, warm=warm)

@@ -5,10 +5,10 @@ The solver cycles over a working set of coefficient blocks. Each visit
 first runs a cheap exact test deciding whether the whole block is zero at
 the optimum. An active block is then minimized by active-set steps, each an
 exact solve on a support and its signs: one eigendecomposition of the
-support's Gram matrix and Newton on a scalar secular equation. A block
-without a group penalty is a lasso, minimized by closed-form coordinate
-shrinks. Blocks outside the working set stay zero and are screened all at
-once whenever the working set settles. A fixed point of these rules is a
+support's Gram matrix and Newton on a scalar secular equation, or, for a
+block without a group penalty (a lasso), a least-squares solve. Blocks
+outside the working set stay zero and are screened all at once whenever
+the working set settles. A fixed point of these rules is a
 global optimum of the convex criterion.
 """
 
@@ -44,8 +44,11 @@ __all__ = [
 # restarts from the origin step
 _SECULAR_MAX_STEPS = 50
 # A block visit takes at most 7 active-set steps on the benchmark's paths;
-# this cap, also on a lasso block's passes, only guards against a defect
+# this cap only guards against a defect
 _BLOCK_MAX_STEPS = 500
+# Without a group term, a face direction whose curvature and pull are both
+# below this share of the face's scales is flat: both are rounding there
+_ROUNDING = 1e-12
 
 
 def soft_threshold(z, lam):
@@ -112,8 +115,7 @@ class SolverOptions:
     is below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep
     moves nothing by more than ``1e-4 * outer_tol`` while that gate fails
     stops there, reported as not converged. ``max_sweeps`` caps the
-    working-set sweeps. Blocks are solved exactly, or, without a group
-    term, by coordinate passes to ``outer_tol / 10``; ``inner_tol`` is
+    working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
     validated but changes no result.
     """
 
@@ -156,8 +158,9 @@ class _FaceSlot:
 class _BlockCache:
     """What every fit of one problem can share, whatever its penalty: each
     block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
-    visit, so groups that never enter cost nothing, and the scale
-    ``max(1, ||X'y||_inf)`` of the KKT gate.
+    visit, so groups that never enter cost nothing, and ``X'y``, which sets
+    the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
+    :func:`sgl.path.lambda_max`, the path's first level.
 
     A block holds its Gram and at most one decomposition of a principal
     submatrix of it, so the cache holds at most about twice the Grams'
@@ -177,8 +180,12 @@ class _BlockCache:
         return entry
 
     @cached_property
+    def xty(self) -> np.ndarray:
+        return self.problem.X.T @ self.problem.y
+
+    @cached_property
     def gate_scale(self) -> float:
-        return max(1.0, float(np.abs(self.problem.X.T @ self.problem.y).max()))
+        return max(1.0, float(np.abs(self.xty).max()))
 
 
 # the cache that the fits of one problem share inside _sharing_block_cache
@@ -201,12 +208,18 @@ def _sharing_block_cache(problem: GroupedProblem):
         _shared_cache.reset(token)
 
 
+def _block_cache(problem: GroupedProblem) -> _BlockCache:
+    """The :class:`_BlockCache` shared for ``problem``, or a fresh one."""
+    cache = _shared_cache.get()
+    return cache if cache is not None and cache.problem is problem else _BlockCache(problem)
+
+
 def _solve_on_support(
     a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, signs: np.ndarray,
     lam1w: float, lam2: float, slot: _FaceSlot | None = None,
 ) -> np.ndarray | None:
     """The block minimizer on the face of ``signs``, free of their sign
-    constraints; ``theta``, a point of the face, seeds it. Needs ``lam1w > 0``.
+    constraints; ``theta``, a point of the face, seeds it.
 
     On the support S of ``signs``, with their signs s, the one-norm term is
     linear and the criterion smooth; its minimizer solves
@@ -224,12 +237,17 @@ def _solve_on_support(
     ``||theta|| / lam1w`` it lands left of the root in at most one step and
     then climbs to it monotonically, in few steps even where ``F`` flattens
     like ``1/sigma^2``. When ``||w|| <= lam1w`` the minimizer is the origin.
-    When the part ``w_0`` of ``w`` on the null directions ``V_0`` of
-    ``G_SS`` has ``||w_0|| >= lam1w``, there is none: the criterion falls at
-    least at rate ``||w_0|| - lam1w`` along ``V_0 w_0``, and the point
-    returned is where that ray from ``theta`` first zeroes a coordinate.
-    Returns None when it zeroes none or the secular equation reaches its
-    cap.
+    Without a group term (``lam1w = 0``) sigma is infinite and the minimizer
+    is the face's least-squares solution ``V (w / mu)``; a direction whose
+    curvature and pull are both at rounding level, ``mu_i`` against the
+    largest ``mu`` and ``w_i`` against ``|a0_S| + lam2``, is flat, like the
+    difference of two duplicate columns, and the minimum-norm solution puts
+    nothing there. When the part ``w_0`` of ``w`` on the other null
+    directions ``V_0`` of ``G_SS`` has ``||w_0|| >= lam1w`` (``> 0`` without
+    a group term), there is no minimizer: the criterion falls at least at
+    rate ``||w_0|| - lam1w`` along ``V_0 w_0``, and the point returned is
+    where that ray from ``theta`` first zeroes a coordinate. Returns None
+    when it zeroes none or the secular equation reaches its cap.
 
     The decomposition comes from ``slot``, the block's :class:`_FaceSlot`,
     when its support is this one, and is computed and stored there
@@ -238,16 +256,25 @@ def _solve_on_support(
     """
     support, mu, V = (_FaceSlot() if slot is None else slot).decompose(gram, signs)
     s = signs[support]
-    w = V.T @ (a0[support] - lam2 * s)
-    pairs = list(zip(mu.tolist(), (w * w).tolist()))
-    target = lam1w * lam1w
+    a = a0[support]
+    w = V.T @ (a - lam2 * s)
     out = np.zeros_like(theta)
-    # F falls from ||w||^2 at 0 to the weight of the null directions at
-    # infinity; a root needs the first above lam1w^2 and the second below
-    if sum(q for _, q in pairs) <= target:
-        return out
-    if sum(q for m, q in pairs if m == 0.0) >= target:
+    if lam1w == 0.0:
+        rounding = _ROUNDING * float(np.linalg.norm(np.abs(a) + lam2))
+        flat = (mu <= _ROUNDING * mu[-1]) & (np.abs(w) <= rounding)
+        null = (mu == 0.0) & ~flat
+        if not null.any():
+            out[support] = V[:, ~flat] @ (w[~flat] / mu[~flat])
+            return out
+    else:
+        pairs = list(zip(mu.tolist(), (w * w).tolist()))
+        target = lam1w * lam1w
+        # F falls from ||w||^2 at 0 to the weight of the null directions at
+        # infinity; a root needs the first above lam1w^2 and the second below
+        if sum(q for _, q in pairs) <= target:
+            return out
         null = mu == 0.0
+    if lam1w == 0.0 or sum(q for m, q in pairs if m == 0.0) >= target:
         ray = V[:, null] @ w[null]
         start = theta[support]
         ahead = np.flatnonzero(ray * s < 0.0)
@@ -289,40 +316,9 @@ def _solve_on_support(
     return out
 
 
-def _lasso_passes(
-    a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, lam2: float, tol: float,
-) -> np.ndarray:
-    """Minimize a block without a group term, a lasso, by cyclic closed-form
-    coordinate shrinks until no pass moves a coordinate by more than ``tol``.
-    Each pass runs on Python floats: the gradient ``a0 - gram @ theta`` is
-    formed exactly at its start, and a coordinate that moves by ``d``
-    subtracts ``d`` times its Gram row (glmnet's covariance update), so
-    rounding drift never outlives a pass."""
-    theta = np.array(theta0, dtype=float)
-    rows = gram.tolist()
-    diag = np.diagonal(gram).tolist()
-    for _ in range(_BLOCK_MAX_STEPS):
-        grad = (a0 - gram @ theta).tolist()
-        th = theta.tolist()
-        max_move = 0.0
-        for j, colsq in enumerate(diag):
-            old = th[j]
-            b = grad[j] + colsq * old
-            new = math.copysign(abs(b) - lam2, b) / colsq if colsq > 0.0 and abs(b) > lam2 else 0.0
-            if new != old:
-                th[j] = new
-                d = new - old
-                max_move = max(max_move, abs(d))
-                grad = [g - r * d for g, r in zip(grad, rows[j])]
-        theta = np.array(th)
-        if max_move <= tol:
-            break
-    return theta
-
-
 def _block_minimize(
     a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, prox: np.ndarray,
-    lam1w: float, lam2: float, tol: float, slot: _FaceSlot | None = None,
+    lam1w: float, lam2: float, slot: _FaceSlot | None = None,
 ) -> np.ndarray:
     """Minimize the criterion over one block whose zero test fails, the rest
     of the fit fixed.
@@ -330,28 +326,27 @@ def _block_minimize(
     Works entirely in block coordinates: ``a0`` is the block columns against
     the block partial residual at theta = 0, ``gram`` the block's Gram
     matrix, which together determine the criterion's restriction up to a
-    constant, and ``prox`` the nonzero :func:`_block_prox` of ``a0``.
+    constant, and ``prox`` the :func:`_block_prox` of ``a0``.
 
-    With ``lam1w > 0`` this is the active-set method of Osborne, Presnell
-    & Turlach (2000) for the lasso, carried to the block. Each step solves
-    the block exactly on a face, a support and its signs
-    (:func:`_solve_on_support`), first on the face of ``theta0``. When the
-    face minimizer flips a sign, the iterate moves toward it to the first
-    zero on the segment and drops that coordinate: the criterion is the
-    face's up to there, convex along the segment, so the move descends.
-    Otherwise the iterate becomes the face minimizer, and the off-support
-    coordinate with the largest ``|(a0 - G theta)_j| > lam2`` joins the face
-    with that gradient's sign, which the next face minimizer keeps. When
-    none is left, the block's optimality conditions hold, so a warm start
-    on the optimum's face takes one face solve. A zero ``theta0`` starts at
-    the origin step, the exact minimizing step along ``prox`` (the
-    soft-thresholded gradient, a descent direction at the origin); a
-    support that empties or a failed face solve restarts there, once.
-    Every face solve goes through ``slot``, the block's :class:`_FaceSlot`.
-    With ``lam1w == 0`` the block is a lasso (:func:`_lasso_passes`).
+    This is the active-set method of Osborne, Presnell & Turlach (2000) for
+    the lasso, carried to the block; a block without a group term
+    (``lam1w = 0``) is a lasso. Each step solves the block exactly on a
+    face, a support and its signs (:func:`_solve_on_support`), first on the
+    face of ``theta0``. When the face minimizer flips a sign, the iterate
+    moves toward it to the first zero on the segment and drops that
+    coordinate: the criterion is the face's up to there, convex along the
+    segment, so the move descends. Otherwise the iterate becomes the face
+    minimizer, and the off-support coordinate with the largest
+    ``|(a0 - G theta)_j| > lam2`` joins the face with that gradient's sign,
+    which the next face minimizer keeps. When none is left, the block's
+    optimality conditions hold, so a warm start on the optimum's face takes
+    one face solve. A zero ``theta0`` starts at the origin step, the exact
+    minimizing step along ``prox`` (the soft-thresholded gradient, a descent
+    direction at the origin); a support that empties or a failed face solve
+    restarts there, once, and at the origin itself when ``prox`` is zero
+    (the zero test passes). Every face solve goes through ``slot``, the
+    block's :class:`_FaceSlot`.
     """
-    if lam1w == 0.0:
-        return _lasso_passes(a0, gram, theta0, lam2, tol)
     theta = np.array(theta0, dtype=float)
     signs = np.sign(theta)
     can_restart = True
@@ -361,9 +356,12 @@ def _block_minimize(
             if not can_restart:
                 break
             can_restart = False
+            norm = float(np.linalg.norm(prox))
+            if norm == 0.0:
+                return np.zeros_like(theta)
             # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
             # the minimizing step at unit curvature, rescaled to u'Gu
-            u = prox / float(np.linalg.norm(prox))
+            u = prox / norm
             theta = prox / max(float(u @ gram @ u), 1e-300)
             signs = np.sign(theta)
             continue
@@ -419,9 +417,8 @@ def fit(
     one block gradient against the block's partial residual, ``Z'r + G b``
     (``Z'r`` for a zero block), zeroes the block when the test allows it and
     otherwise minimizes over the block by active-set steps from its current
-    support and signs, each an exact solve (see :func:`_block_minimize`; a
-    block without a group term by coordinate shrinks). Every other
-    group stays exactly zero. A visit that changes the block by ``d``
+    support and signs, each an exact solve (see :func:`_block_minimize`),
+    with or without a group term. Every other group stays exactly zero. A visit that changes the block by ``d``
     accepts the change only when the criterion's exact change,
     ``Zd'(Zd/2 - r)`` plus the block penalty's change, is at most 1e-14 of
     the criterion's scale, and then updates the residual by ``-Zd``; so no
@@ -440,8 +437,8 @@ def fit(
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
     eigendecomposition of ``G`` on the support of the block's last face
-    solve, reused while that support holds, and the gate's scale
-    ``max(1, ||X'y||_inf)``. Each call makes a fresh one, except inside
+    solve, reused while that support holds, and ``X'y`` for the gate's
+    scale ``max(1, ||X'y||_inf)``. Each call makes a fresh one, except inside
     :func:`sgl.path.fit_path`, whose levels share one; the results are the
     same either way.
     """
@@ -454,11 +451,8 @@ def fit(
         beta = np.array(problem.coefficients(warm).beta, dtype=float)
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     slices = problem.slices
-    cache = _shared_cache.get()
-    if cache is None or cache.problem is not problem:
-        cache = _BlockCache(problem)
+    cache = _block_cache(problem)
     kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
-    block_tol = opts.outer_tol / 10.0
 
     res = y - X @ beta if beta.any() else y.copy()
     work = problem.active_groups(beta) | _screen(problem, res, penalty)
@@ -490,7 +484,7 @@ def fit(
             new_bl = _block_prox(a, lam1w, lam2)
             if new_bl.any():
                 gram, slot = cache.block(ell)
-                new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, block_tol, slot)
+                new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, slot)
             d = new_bl - bl
             if d.any():
                 Zd = Z @ d

@@ -196,7 +196,7 @@ def test_coordinate_lasso_closed_form_on_a_unit_column():
         lam2 = float(rng.uniform(0.05, 1.0))
         a0, gram = np.array([col @ r]), np.array([[col @ col]])
         prox = _block_prox(a0, 0.0, lam2)
-        got = _block_minimize(a0, gram, rng.standard_normal(1), prox, 0.0, lam2, 1e-13)
+        got = _block_minimize(a0, gram, rng.standard_normal(1), prox, 0.0, lam2)
         assert got[0] == pytest.approx(soft_threshold(float(a0[0]), lam2), abs=1e-10)
 
 
@@ -214,17 +214,17 @@ def test_coordinate_singleton_group_closed_form():
             # the block zero test passes, so the block is not minimized
             assert expected == 0.0
             continue
-        got = _block_minimize(a0, gram, np.zeros(1), prox, lam1 * w, lam2, 1e-13)
+        got = _block_minimize(a0, gram, np.zeros(1), prox, lam1 * w, lam2)
         assert got[0] == pytest.approx(expected, abs=1e-10)
 
 
-def _a6_style_paths():
+def _a6_style_paths(mixing=0.5):
     opts = SolverOptions(outer_tol=1e-5, inner_tol=1e-8)
     betas = []
     for seed in (1, 2):
         data = generate(SimConfig(seed=seed))
         prob = build_problem(data.y, data.X, data.config.blocks)
-        path = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
+        path = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=mixing), opts)
         betas.append(np.array([pt.coefficients.beta for pt in path.points]))
     return np.array(betas)
 
@@ -271,7 +271,7 @@ def test_block_minimize_is_stationary_and_optimal_on_correlated_blocks(k, rho):
     assert prox.any()
     ref = fit_oracle(build_problem(r, Z, [k]), PenaltySpec(lam1w, lam2), OracleOptions(tol=1e-15))
     for start in (np.zeros(k), rng.standard_normal(k)):
-        theta = _block_minimize(a0, gram, start, prox, lam1w, lam2, 1e-13)
+        theta = _block_minimize(a0, gram, start, prox, lam1w, lam2)
         grad = a0 - gram @ theta
         norm = float(np.linalg.norm(theta))
         assert norm > 0.0
@@ -306,16 +306,17 @@ def test_block_minimize_leaves_an_unbounded_face_along_its_null_space():
     assert np.all(np.sign(prox) == 1.0)
     expected = soft_threshold(float(a0[1]), lam1w + lam2) / float(gram[1, 1])
     for warm in ([0.0, 0.0], [1.0, 1.0], [0.5, 0.0], [-1.0, 2.0]):
-        theta = _block_minimize(a0, gram, np.array(warm), prox, lam1w, lam2, 1e-13)
+        theta = _block_minimize(a0, gram, np.array(warm), prox, lam1w, lam2)
         assert theta[0] == 0.0, warm
         assert theta[1] == pytest.approx(expected, rel=1e-12), warm
 
 
 @st.composite
 def one_block_cases(draw):
-    """A one-group problem whose zero test fails, its reference solution,
-    and a warm start: zero, random, on the reference's support and signs,
-    or off them by one flipped sign, one dropped or one added coordinate."""
+    """A one-group problem whose zero test fails, with or without a group
+    term (a lasso block), its reference solution, and a warm start: zero,
+    random, on the reference's support and signs, or off them by one
+    flipped sign, one dropped or one added coordinate."""
     design = draw(st.sampled_from(["generic", "duplicate", "constant", "orthonormal", "wide"]))
     # a wide block has more columns than rows, so its Gram is singular
     k = draw(st.integers(13, 20) if design == "wide" else st.integers(1, 5))
@@ -329,9 +330,10 @@ def one_block_cases(draw):
         Z = _orthonormal_design(rng, 12, k)
     prob = build_problem(Z @ rng.standard_normal(k) + 0.3 * rng.standard_normal(12), Z, [k])
     a0 = prob.X.T @ prob.y
-    lam2 = draw(st.sampled_from([0.0, 0.1, 0.4])) * float(np.abs(a0).max())
-    lam1w = draw(st.floats(0.05, 0.9)) * float(np.linalg.norm(soft_threshold(a0, lam2)))
-    assume(lam1w > 0.0)
+    lasso = draw(st.booleans())
+    lam2 = draw(st.sampled_from([0.1, 0.4] if lasso else [0.0, 0.1, 0.4])) * float(np.abs(a0).max())
+    lam1w = 0.0 if lasso else draw(st.floats(0.05, 0.9)) * float(np.linalg.norm(soft_threshold(a0, lam2)))
+    assume(lam2 > 0.0 if lasso else lam1w > 0.0)
     ref = fit_oracle(prob, PenaltySpec(lam1w, lam2), OracleOptions(tol=1e-15))
     opt = ref.coefficients.beta
     on, off = np.flatnonzero(opt), np.flatnonzero(opt == 0.0)
@@ -369,7 +371,7 @@ def test_block_minimize_is_optimal_from_any_warm_start(case):
 
     solver_module._solve_on_support = counting
     try:
-        theta = _block_minimize(a0, gram, warm, prox, lam1w, lam2, 1e-13)
+        theta = _block_minimize(a0, gram, warm, prox, lam1w, lam2)
     finally:
         solver_module._solve_on_support = solve
     grad = a0 - gram @ theta
@@ -411,8 +413,8 @@ def test_a_face_slot_reused_across_supports_gives_fresh_results():
             fresh = solver_module._solve_on_support(a0, gram, theta, signs, lam1w, lam2)
             assert (shared is None) == (fresh is None)
             assert shared is None or np.array_equal(shared, fresh)
-        shared = _block_minimize(a0, gram, theta, prox, lam1w, lam2, 1e-13, slot)
-        assert np.array_equal(shared, _block_minimize(a0, gram, theta, prox, lam1w, lam2, 1e-13))
+        shared = _block_minimize(a0, gram, theta, prox, lam1w, lam2, slot)
+        assert np.array_equal(shared, _block_minimize(a0, gram, theta, prox, lam1w, lam2))
 
 
 def test_path_decomposes_a_block_only_when_its_support_changes(monkeypatch):
@@ -452,8 +454,9 @@ def test_path_decomposes_a_block_only_when_its_support_changes(monkeypatch):
 
 def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
     # a block visit takes at most 5 active-set steps and its secular
-    # equation at most 5 evaluations on the benchmark's paths
-    free = _a6_style_paths()
+    # equation at most 5 evaluations on the benchmark's paths; a lasso
+    # block (mixing 1) at most 7 face solves
+    free = {mixing: _a6_style_paths(mixing) for mixing in (0.5, 1.0)}
     rng = np.random.default_rng(1003)
     Z, r = _correlated_block(rng, 60, 13, 0.99)
     a0, gram = Z.T @ r, Z.T @ Z
@@ -461,17 +464,18 @@ def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
     lam1w = 0.05 * float(np.linalg.norm(soft_threshold(a0, lam2)))
     prox = _block_prox(a0, lam1w, lam2)
     start = rng.standard_normal(13)
-    theta = _block_minimize(a0, gram, start, prox, lam1w, lam2, 1e-13)
+    theta = _block_minimize(a0, gram, start, prox, lam1w, lam2)
     signs = np.sign(theta)
     assert solver_module._solve_on_support(a0, gram, 2.0 * theta, signs, lam1w, lam2) is not None
     monkeypatch.setattr(solver_module, "_BLOCK_MAX_STEPS", 8)
     monkeypatch.setattr(solver_module, "_SECULAR_MAX_STEPS", 8)
-    assert np.array_equal(_a6_style_paths(), free)
+    for mixing, betas in free.items():
+        assert np.array_equal(_a6_style_paths(mixing), betas), mixing
     # the patched caps are the ones the solver reads: from a start with
     # mixed signs this block takes more than 8 steps to drop the wrong
     # coordinates, and its secular equation more than one evaluation from
     # a warm start off by a factor of 2
-    assert not np.array_equal(_block_minimize(a0, gram, start, prox, lam1w, lam2, 1e-13), theta)
+    assert not np.array_equal(_block_minimize(a0, gram, start, prox, lam1w, lam2), theta)
     monkeypatch.setattr(solver_module, "_SECULAR_MAX_STEPS", 1)
     assert solver_module._solve_on_support(a0, gram, 2.0 * theta, signs, lam1w, lam2) is None
 
@@ -669,9 +673,10 @@ def test_fit_zeroes_coefficients_of_constant_columns():
 def test_fit_never_reports_convergence_while_its_kkt_gate_fails():
     # the stall exit is in coefficient units: with large columns a sweep can
     # move nothing by 1e-4 * outer_tol short of the gate, and the fit must
-    # not call that converged. Blocks with a group term are solved exactly
-    # at any scale, so those fits converge; a lasso block (mixing 1) stops
-    # its passes at a coefficient-unit tolerance and stalls at 1e10
+    # not call that converged. Every block, lasso blocks (mixing 1)
+    # included, is solved exactly at any scale, so every fit here converges
+    # to the reference objective; a lasso block stopped by a
+    # coefficient-unit tolerance stalls at 1e10 instead
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 12))
     y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
@@ -683,12 +688,10 @@ def test_fit_never_reports_convergence_while_its_kkt_gate_fails():
             lam = 0.3 * lambda_max(prob, mixing)
             pen = PenaltySpec((1.0 - mixing) * lam, mixing * lam)
             result = fit(prob, pen, opts)
-            if result.converged:
-                assert result.kkt.worst_violation <= gate, (scale, mixing)
-            if mixing < 1.0:
-                assert result.converged, (scale, mixing)
-                ref = fit_oracle(prob, pen)
-                assert result.objective == pytest.approx(ref.objective, rel=1e-8), (scale, mixing)
+            assert result.converged, (scale, mixing)
+            assert result.kkt.worst_violation <= gate, (scale, mixing)
+            ref = fit_oracle(prob, pen)
+            assert result.objective == pytest.approx(ref.objective, rel=1e-8), (scale, mixing)
 
 
 def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
