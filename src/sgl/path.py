@@ -78,9 +78,9 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     alpha = float(mixing)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
-    # X'y, formed as fit's first screen forms it at beta = 0 and tested by
-    # the same zero-test kernel with the same level split; inside fit_path
-    # the levels' shared block cache holds it for their KKT gate
+    # X'y from the block cache, tested by the same zero-test kernel with the
+    # same level split: inside fit_path it is the very array that the first
+    # level's screen tests at beta = 0 and that sets the KKT gate's scale
     grad = _block_cache(problem).xty
     sup = float(np.abs(grad).max())
     if sup == 0.0:

@@ -8,8 +8,9 @@ exact solve on a support and its signs: one eigendecomposition of the
 support's Gram matrix and Newton on a scalar secular equation, or, for a
 block without a group penalty (a lasso), a least-squares solve. Blocks
 outside the working set stay zero and are screened all at once whenever
-the working set settles. A fixed point of these rules is a
-global optimum of the convex criterion.
+the working set settles. Every few sweeps an Anderson extrapolation of the
+last sweeps is tried and kept only when it lowers the criterion. A fixed
+point of these rules is a global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ _SECULAR_MAX_STEPS = 50
 # A block visit takes at most 7 active-set steps on the benchmark's paths;
 # this cap only guards against a defect
 _BLOCK_MAX_STEPS = 500
+# fit extrapolates from the differences of this many + 1 consecutive sweeps
+_ANDERSON_K = 5
 # Without a group term, a face direction whose curvature and pull are both
 # below this share of the face's scales is flat: both are rounding there
 _ROUNDING = 1e-12
@@ -56,9 +59,14 @@ def soft_threshold(z, lam):
     lam = float(lam)
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise ValueError(f"threshold must be nonnegative and finite, got {lam}")
-    z = np.asarray(z, dtype=float)
-    out = np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
+    out = _shrink(np.asarray(z, dtype=float), lam)
     return float(out) if out.ndim == 0 else out
+
+
+def _shrink(z: np.ndarray, lam: float) -> np.ndarray:
+    # soft_threshold's arithmetic without its checks, for the solver's own
+    # arrays and levels
+    return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
 
 
 def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
@@ -70,7 +78,7 @@ def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
     orthonormal. The norm is summed like :func:`_zero_test_excess` sums a
     group's segment, so on the same vector the two decide alike.
     """
-    g = soft_threshold(a, lam2)
+    g = _shrink(a, lam2)
     gnorm = float(np.sqrt(np.add.reduceat(g * g, [0])[0]))
     if gnorm <= lam1w:
         return np.zeros_like(g)
@@ -85,7 +93,7 @@ def _zero_test_excess(
     """Per group, ||S(grad_g, lambda2)|| - lambda1 * w_g: a zero block is
     optimal exactly when its entry is at most 0, with ``grad`` the columns
     against the block's partial residual."""
-    shrunk = soft_threshold(grad, penalty.lambda2)
+    shrunk = _shrink(grad, penalty.lambda2)
     return _group_norms(problem, shrunk) - penalty.lambda1 * problem.weights
 
 
@@ -117,6 +125,12 @@ class SolverOptions:
     stops there, reported as not converged. ``max_sweeps`` caps the
     working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
     validated but changes no result.
+
+    No option controls the extrapolation that :func:`fit` tries after
+    every six sweeps in a row that move beyond ``outer_tol``: the point is
+    kept only when its exact criterion is strictly below the sweep's, and
+    none is tried after the last allowed sweep, so a fit always returns a
+    sweep's output.
     """
 
     outer_tol: float = 1e-7
@@ -159,8 +173,9 @@ class _BlockCache:
     """What every fit of one problem can share, whatever its penalty: each
     block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
     visit, so groups that never enter cost nothing, and ``X'y``, which sets
-    the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
-    :func:`sgl.path.lambda_max`, the path's first level.
+    the scale ``max(1, ||X'y||_inf)`` of the KKT gate, the first screen of
+    a fit from zero and, in :func:`sgl.path.lambda_max`, the path's first
+    level.
 
     A block holds its Gram and at most one decomposition of a principal
     submatrix of it, so the cache holds at most about twice the Grams'
@@ -397,11 +412,30 @@ def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
     return lam1w * math.hypot(*t) + lam2 * sum(map(abs, t))
 
 
-def _screen(problem: GroupedProblem, res: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-    """Mask of the groups failing the exact zero test at residual ``res``,
-    all groups at once. Only meaningful for zero blocks, whose partial
-    residual is ``res`` itself."""
-    return _zero_test_excess(problem, problem.X.T @ res, penalty) > 0.0
+def _screen(problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
+    """Mask of the groups failing the exact zero test at ``xtr = X'r``, all
+    groups at once. Only meaningful for zero blocks, whose partial residual
+    is ``r`` itself."""
+    return _zero_test_excess(problem, xtr, penalty) > 0.0
+
+
+def _extrapolate(snapshots: list[np.ndarray]) -> np.ndarray | None:
+    """Anderson extrapolation of the fixed-point iteration through
+    ``snapshots``, K + 1 consecutive iterates (Bertrand & Massias 2021).
+
+    With ``U`` the K differences of the iterates as rows, ``z`` solves
+    ``(U U') z = 1`` and ``c = z / sum(z)`` weighs the last K iterates. None
+    when that system is singular or the result is not finite.
+    """
+    last = np.array(snapshots)
+    U = np.diff(last, axis=0)
+    with np.errstate(all="ignore"):
+        try:
+            z = np.linalg.solve(U @ U.T, np.ones(len(U)))
+        except np.linalg.LinAlgError:
+            return None
+        trial = (z / z.sum()) @ last[1:]
+    return trial if np.isfinite(trial).all() else None
 
 
 def fit(
@@ -434,11 +468,28 @@ def fit(
     rank-deficient design then sets ``degenerate`` (the returned solution
     is one minimizer among many).
 
+    Block coordinate descent converges at a linear rate that can be slow
+    (near-interpolating designs with n < p, warm-started levels with every
+    group active), so the sweeps are Anderson-extrapolated (Bertrand &
+    Massias 2021): each sweep that moves a coefficient by more than
+    ``outer_tol`` keeps a copy of the working set's coefficients, and after
+    six such sweeps in a row the combination of their copies that best
+    cancels their differences (see :func:`_extrapolate`) is tried on the
+    working set's columns; then the copies start afresh. It is
+    kept, with its residual and its objective as the sweep's history entry,
+    only when that exact objective is strictly below the sweep's; so the
+    history stays nonincreasing, groups outside the working set stay
+    exactly zero, and a singular or non-finite extrapolation changes
+    nothing. None is tried after a sweep that meets the stop rule or after
+    the last allowed sweep, so the returned ``beta`` is always the output of
+    a block sweep, with its exact zeros.
+
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
     eigendecomposition of ``G`` on the support of the block's last face
     solve, reused while that support holds, and ``X'y`` for the gate's
-    scale ``max(1, ||X'y||_inf)``. Each call makes a fresh one, except inside
+    scale ``max(1, ||X'y||_inf)`` and the first screen of a start from zero.
+    Each call makes a fresh one, except inside
     :func:`sgl.path.fit_path`, whose levels share one; the results are the
     same either way.
     """
@@ -454,8 +505,13 @@ def fit(
     cache = _block_cache(problem)
     kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
 
-    res = y - X @ beta if beta.any() else y.copy()
-    work = problem.active_groups(beta) | _screen(problem, res, penalty)
+    if beta.any():
+        res = y - X @ beta
+        xtr = X.T @ res
+    else:
+        # lambda_max tests this very array, so a fit at its level is all-zero
+        res, xtr = y.copy(), cache.xty
+    work = problem.active_groups(beta) | _screen(problem, xtr, penalty)
 
     def working_columns(work: np.ndarray) -> np.ndarray:
         return np.flatnonzero(np.repeat(work, problem.group_sizes))
@@ -465,6 +521,9 @@ def fit(
     cols = working_columns(work)
     X_work = X[:, cols]
     history = [_objective_from_residual(problem, res, beta, penalty)]
+    # working-set coefficients after each of the latest sweeps in a row
+    # that moved beyond outer_tol
+    snapshots: list[np.ndarray] = []
     converged = False
     max_delta = 0.0
     sweeps = 0
@@ -502,7 +561,8 @@ def fit(
         res = y - X_work @ beta[cols]
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if max_delta <= opts.outer_tol:
-            entering = _screen(problem, res, penalty) & ~work
+            snapshots.clear()
+            entering = _screen(problem, X.T @ res, penalty) & ~work
             if entering.any():
                 work |= entering
                 cols = working_columns(work)
@@ -513,6 +573,20 @@ def fit(
             # a stalled fit stops too, but it has not converged
             if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
+        elif sweeps < opts.max_sweeps:
+            # never after the last sweep: a fit returns a sweep's output
+            snapshots.append(beta[cols])
+            if len(snapshots) > _ANDERSON_K:
+                trial = _extrapolate(snapshots)
+                snapshots.clear()
+                if trial is not None:
+                    trial_beta = np.zeros(p)
+                    trial_beta[cols] = trial
+                    with np.errstate(all="ignore"):
+                        trial_res = y - X_work @ trial
+                        trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
+                    if trial_obj < history[-1]:
+                        beta, res, history[-1] = trial_beta, trial_res, trial_obj
     if report is None:
         # no gate ran on the final beta
         report = kkt_residual(problem, beta, penalty)
@@ -558,7 +632,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
         norms = np.where(active, _group_norms(problem, scaled), 1.0)
         stat = grad - np.repeat(lam1 * problem.weights, sizes) * (scaled / np.repeat(norms, sizes))
     else:
-        outside = _group_norms(problem, soft_threshold(grad, lam2), np.inf)
+        outside = _group_norms(problem, _shrink(grad, lam2), np.inf)
     viol = np.where(
         b != 0.0, np.abs(stat - lam2 * np.sign(b)), np.maximum(np.abs(stat) - lam2, 0.0)
     )

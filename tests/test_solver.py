@@ -480,6 +480,21 @@ def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
     assert solver_module._solve_on_support(a0, gram, 2.0 * theta, signs, lam1w, lam2) is None
 
 
+def test_extrapolation_saves_sweeps_on_benchmark_paths():
+    # five paper draws took 493 working-set sweeps without extrapolation
+    # and take 319 with it; a change that loses the extrapolation fails here
+    plain_sweeps = 493
+    opts = SolverOptions(outer_tol=1e-5)
+    sweeps = 0
+    for seed in range(100, 105):
+        data = generate(SimConfig(seed=seed))
+        prob = build_problem(data.y, data.X, data.config.blocks)
+        path = fit_path(prob, PathSpec(n_points=6, ratio_min=0.01, mixing=0.5), opts)
+        assert all(pt.converged for pt in path.points)
+        sweeps += sum(pt.sweeps for pt in path.points)
+    assert sweeps < 0.8 * plain_sweeps
+
+
 # ------------------------------------------------------- block prox, unit step
 
 def test_orthonormal_update_identity_without_penalty():
@@ -545,13 +560,33 @@ def test_fit_matches_the_reference_solver_on_tiny_problems():
         assert ours.objective == pytest.approx(ref.objective, rel=1e-8, abs=1e-8)
 
 
-def test_fit_objective_never_increases_between_sweeps():
+def _without_extrapolation(monkeypatch):
+    # fit extrapolates every _ANDERSON_K + 1 sweeps, so it never does here
+    monkeypatch.setattr(solver_module, "_ANDERSON_K", 10**9)
+
+
+def test_fit_objective_never_increases_between_sweeps(monkeypatch):
     rng = np.random.default_rng(26)
     for sizes, n in ([[5, 5, 5], 40], [[3] * 6, 12], [[1] * 8, 20]):
         prob = random_problem(rng, n, sizes)
         lmax = lambda_max(prob, 0.5)
         result = fit(prob, PenaltySpec(0.1 * lmax, 0.05 * lmax))
         assert np.all(np.diff(result.objective_history) <= 1e-12)
+    # a paper draw whose fit accepts extrapolated points: each replaces its
+    # sweep's history entry only when it is strictly lower
+    data = generate(SimConfig(seed=100))
+    prob = build_problem(data.y, data.X, data.config.blocks)
+    lam = 0.01 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * lam, 0.5 * lam)
+    result = fit(prob, pen)
+    assert np.all(np.diff(result.objective_history) <= 0.0)
+    with monkeypatch.context() as m:
+        _without_extrapolation(m)
+        plain = fit(prob, pen)
+    # a rejected trial changes nothing, so fewer sweeps mean accepted ones
+    assert result.converged and plain.converged
+    assert result.sweeps < plain.sweeps
+    assert np.all(np.diff(plain.objective_history) <= 0.0)
 
 
 def test_fit_rejects_a_block_update_that_raises_the_criterion(monkeypatch):
@@ -572,6 +607,44 @@ def test_fit_rejects_a_block_update_that_raises_the_criterion(monkeypatch):
     assert result.coefficients.n_nonzero == 0
     assert not result.converged
     assert np.all(np.diff(result.objective_history) <= 0.0)
+
+
+@pytest.mark.parametrize("bad", ["raises", "nan", "zero-sum", "stale"])
+def test_fit_keeps_its_sweep_when_an_extrapolation_is_rejected(monkeypatch, bad):
+    # every solve of the extrapolation's system is spoilt: singular, not
+    # finite, weights that cannot be normalized (no warning may escape), or
+    # finite weights on an iterate four sweeps old, whose objective is not
+    # below the sweep's; beta, the residual and the history must then be
+    # those of a fit that never extrapolates, bit for bit
+    rng = np.random.default_rng(33)
+    prob = random_problem(rng, 40, [5, 5, 5])
+    lmax = lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.005 * lmax, 0.005 * lmax)
+    opts = SolverOptions(outer_tol=1e-14, max_sweeps=40)
+    with monkeypatch.context() as m:
+        _without_extrapolation(m)
+        plain = fit(prob, pen, opts)
+    calls = []
+
+    def spoilt(C, ones):
+        calls.append(len(ones))
+        if bad == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        z = np.zeros(len(ones))
+        if bad == "nan":
+            z[:] = np.nan
+        elif bad == "zero-sum":
+            z[:2] = [1.0, -1.0]
+        else:
+            z[0] = 1.0
+        return z
+
+    monkeypatch.setattr(np.linalg, "solve", spoilt)
+    result = fit(prob, pen, opts)
+    assert calls
+    assert result.sweeps == plain.sweeps
+    assert np.array_equal(result.coefficients.beta, plain.coefficients.beta)
+    assert np.array_equal(result.objective_history, plain.objective_history)
 
 
 def test_fit_restarted_from_its_own_solution_stays_put():
@@ -635,7 +708,7 @@ def test_fit_scaling_relation():
     assert r2.objective == pytest.approx(c * c * r1.objective, rel=1e-12)
 
 
-def test_fit_reports_nonconvergence_at_the_sweep_cap():
+def test_fit_reports_nonconvergence_at_the_sweep_cap(monkeypatch):
     rng = np.random.default_rng(33)
     prob = random_problem(rng, 40, [5, 5, 5])
     lmax = lambda_max(prob, 0.5)
@@ -645,6 +718,20 @@ def test_fit_reports_nonconvergence_at_the_sweep_cap():
     assert result.sweeps == 1
     assert result.objective_history.size == 2
     assert np.isfinite(result.objective)
+    # the sixth sweep is the first that could extrapolate; as the last one
+    # allowed it does not, and the fit returns that sweep's output
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    capped = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=6))
+    assert capped.sweeps == 6 and not capped.converged
+    assert not calls
+    fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=7))
+    assert len(calls) == 1
+    _without_extrapolation(monkeypatch)
+    plain = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=6))
+    assert np.array_equal(capped.coefficients.beta, plain.coefficients.beta)
+    assert np.array_equal(capped.objective_history, plain.objective_history)
 
 
 def test_fit_convergence_honors_the_tolerance():
@@ -692,6 +779,22 @@ def test_fit_never_reports_convergence_while_its_kkt_gate_fails():
             assert result.kkt.worst_violation <= gate, (scale, mixing)
             ref = fit_oracle(prob, pen)
             assert result.objective == pytest.approx(ref.objective, rel=1e-8), (scale, mixing)
+
+
+def test_fit_converges_where_block_descent_creeps_on_a_wide_design():
+    # n < p with a constant column and a tiny one-norm level: exact block
+    # solves alone creep at a linear rate here, and without extrapolation
+    # this fit stops at 10,000 sweeps unconverged, 1e-3 above the reference
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((15, 18))
+    X[:, -1] = 1.0
+    y = X[:, :4] @ rng.standard_normal(4) + 0.1 * rng.standard_normal(15)
+    prob = build_problem(y, X, [6, 6, 1, 5])
+    pen = PenaltySpec(0.0, 1e-4 * lambda_max(prob, 1.0))
+    result = fit(prob, pen, SolverOptions(outer_tol=1e-9, max_sweeps=2000))
+    assert result.converged
+    ref = fit_oracle(prob, pen, OracleOptions(tol=1e-15, max_iters=200000))
+    assert result.objective == pytest.approx(ref.objective, rel=1e-8)
 
 
 def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
