@@ -8,9 +8,11 @@ exact solve on a support and its signs: one eigendecomposition of the
 support's Gram matrix and Newton on a scalar secular equation, or, for a
 block without a group penalty (a lasso), a least-squares solve. Blocks
 outside the working set stay zero and are screened all at once whenever
-the working set settles. Every few sweeps an Anderson extrapolation of the
-last sweeps is tried and kept only when it lowers the criterion. A fixed
-point of these rules is a global optimum of the convex criterion.
+the working set settles. Once a sweep leaves every sign of the working set
+as the sweep before did, a Newton step on that sign face is tried, and
+every few sweeps an Anderson extrapolation of the last sweeps; either is
+kept only when it lowers the criterion. A fixed point of these rules is a
+global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -126,11 +128,14 @@ class SolverOptions:
     working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
     validated but changes no result.
 
-    No option controls the extrapolation that :func:`fit` tries after
-    every six sweeps in a row that move beyond ``outer_tol``: the point is
-    kept only when its exact criterion is strictly below the sweep's, and
-    none is tried after the last allowed sweep, so a fit always returns a
-    sweep's output.
+    No option controls the two accelerations that :func:`fit` tries after
+    a sweep that moves beyond ``outer_tol``: a Newton step on the sign face
+    when the sweep left every sign of the working set unchanged (not again
+    on a face whose step was rejected), and an extrapolation after every
+    six such sweeps in a row. A point is kept only when its exact criterion
+    is strictly below the sweep's, and none is tried after the last allowed
+    sweep, so a fit always returns a sweep's output or, when the sweep after
+    a kept point cannot lower it, that point, with the sweep's signs.
     """
 
     outer_tol: float = 1e-7
@@ -438,6 +443,40 @@ def _extrapolate(snapshots: list[np.ndarray]) -> np.ndarray | None:
     return trial if np.isfinite(trial).all() else None
 
 
+def _newton_step(
+    X_work: np.ndarray, res: np.ndarray, b: np.ndarray, groups: np.ndarray,
+    lam1w: np.ndarray, lam2: float,
+) -> np.ndarray | None:
+    """One Newton step on the face of ``b``, the working set's coefficients,
+    with ``X_work`` their columns, ``res`` the residual, ``groups`` their
+    groups and ``lam1w`` every group's ``lambda1 * w``.
+
+    On the face, the support S of ``b`` and its signs s, the criterion is
+    smooth: with ``u_g = b_g / ||b_g||`` its gradient is
+    ``-X_S'r + lambda1 w_g u_g + lambda2 s`` and its Hessian
+    ``X_S'X_S + (+)_g lambda1 w_g / ||b_g|| (I - u_g u_g')``. Only S moves,
+    so every zero of ``b`` stays an exact zero. None when that system is
+    singular or the step is not finite.
+    """
+    face = np.flatnonzero(b)
+    X_S, b_S, g_S = X_work[:, face], b[face], groups[face]
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.bincount(g_S, weights=b_S * b_S))[g_S]
+        c = lam1w[g_S] / norms
+        u = b_S / norms
+        hess = X_S.T @ X_S + np.diag(c) - (g_S[:, None] == g_S) * np.outer(c * u, u)
+        grad = c * b_S + lam2 * np.sign(b_S) - X_S.T @ res
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return None
+    if not np.isfinite(step).all():
+        return None
+    trial = b.copy()
+    trial[face] -= step
+    return trial
+
+
 def fit(
     problem: GroupedProblem,
     penalty: PenaltySpec,
@@ -452,37 +491,52 @@ def fit(
     (``Z'r`` for a zero block), zeroes the block when the test allows it and
     otherwise minimizes over the block by active-set steps from its current
     support and signs, each an exact solve (see :func:`_block_minimize`),
-    with or without a group term. Every other group stays exactly zero. A visit that changes the block by ``d``
-    accepts the change only when the criterion's exact change,
-    ``Zd'(Zd/2 - r)`` plus the block penalty's change, is at most 1e-14 of
-    the criterion's scale, and then updates the residual by ``-Zd``; so no
-    accepted update raises the criterion beyond its rounding, and the
-    objective is nonincreasing sweep over sweep. After each sweep the
-    residual is formed afresh from the working set's columns, the only ones
-    that can be nonzero. When a sweep moves no coefficient by more than
-    ``outer_tol``, all other groups are screened at once at that residual,
-    and any that fail the zero test join the working set; once none do,
-    the fit stops, converged if its first-order violations pass the gate of
-    :class:`SolverOptions` and unconverged if its sweeps have stalled short
-    of it. With both penalties zero this is plain least squares; a
-    rank-deficient design then sets ``degenerate`` (the returned solution
-    is one minimizer among many).
+    with or without a group term. Every other group stays exactly zero. A
+    visit that changes the block by ``d`` accepts the change only when the
+    criterion's exact change, ``Zd'(Zd/2 - r)`` plus the block penalty's
+    change, is at most 1e-14 of the criterion's scale, and then updates the
+    residual by ``-Zd``; so no accepted update raises the criterion beyond
+    its rounding, and the objective is nonincreasing sweep over sweep up to
+    that rounding. After each sweep the residual is formed afresh from the
+    working set's columns, the only ones that can be nonzero. When a sweep
+    moves no coefficient by more than ``outer_tol``, all other groups are
+    screened at once at that residual, and any that fail the zero test join
+    the working set; once none do, the fit stops, converged if its
+    first-order violations pass the gate of :class:`SolverOptions` and
+    unconverged if its sweeps have stalled short of it. With both penalties
+    zero this is plain least squares; a rank-deficient design then sets
+    ``degenerate`` (the returned solution is one minimizer among many).
 
     Block coordinate descent converges at a linear rate that can be slow
     (near-interpolating designs with n < p, warm-started levels with every
-    group active), so the sweeps are Anderson-extrapolated (Bertrand &
-    Massias 2021): each sweep that moves a coefficient by more than
-    ``outer_tol`` keeps a copy of the working set's coefficients, and after
-    six such sweeps in a row the combination of their copies that best
-    cancels their differences (see :func:`_extrapolate`) is tried on the
-    working set's columns; then the copies start afresh. It is
-    kept, with its residual and its objective as the sweep's history entry,
-    only when that exact objective is strictly below the sweep's; so the
-    history stays nonincreasing, groups outside the working set stay
-    exactly zero, and a singular or non-finite extrapolation changes
-    nothing. None is tried after a sweep that meets the stop rule or after
-    the last allowed sweep, so the returned ``beta`` is always the output of
-    a block sweep, with its exact zeros.
+    group active), so two kinds of trial point follow a sweep that moves a
+    coefficient by more than ``outer_tol``:
+
+    - a Newton step on the sign face (see :func:`_newton_step`; the
+      Hessian-based steps of Zhang, Zhang, Sun & Toh 2020), when every
+      working-set coefficient has the sign (-1, 0 or +1) it had after the
+      sweep before. On that face the criterion is smooth, and only its
+      nonzero coefficients move, so every zero stays exactly zero. After a
+      rejected step, that sign pattern is not tried again until it
+      changes;
+    - else an Anderson extrapolation (Bertrand & Massias 2021): each such
+      sweep keeps a copy of the working set's coefficients, and after six
+      such sweeps in a row the combination of their copies that best
+      cancels their differences (see :func:`_extrapolate`) is tried on the
+      working set's columns; then the copies start afresh, as they do
+      after a kept Newton step.
+
+    A trial is kept, with its residual and its objective as the sweep's
+    history entry, only when that exact objective is strictly below the
+    sweep's; so a trial never raises the history, groups outside the
+    working set stay exactly zero, and a singular or non-finite solve
+    changes nothing. A kept trial can land on the optimum itself; when the
+    sweep after it moves nothing beyond ``outer_tol``, leaves every sign
+    as the trial's and still reads above it, that sweep could not lower
+    the point, and the fit goes back to the trial's point and objective.
+    None is tried after a sweep that meets the stop rule or after the last
+    allowed sweep, so the returned ``beta`` is always a block sweep's
+    output or a point with the same signs, and has a sweep's exact zeros.
 
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
@@ -516,6 +570,25 @@ def fit(
     def working_columns(work: np.ndarray) -> np.ndarray:
         return np.flatnonzero(np.repeat(work, problem.group_sizes))
 
+    col_groups = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
+
+    def keep_if_lower(trial: np.ndarray | None) -> bool:
+        # keep a trial of the working set's coefficients only when its exact
+        # objective is strictly below the sweep's
+        nonlocal beta, res, kept
+        if trial is None:
+            return False
+        trial_beta = np.zeros(p)
+        trial_beta[cols] = trial
+        with np.errstate(all="ignore"):
+            trial_res = y - X_work @ trial
+            trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
+        if not trial_obj < history[-1]:
+            return False
+        beta, res, history[-1] = trial_beta, trial_res, trial_obj
+        kept = trial_beta.copy(), trial_res.copy()
+        return True
+
     # only working-set columns can be nonzero, so each sweep's exact
     # residual is formed from those alone
     cols = working_columns(work)
@@ -524,6 +597,11 @@ def fit(
     # working-set coefficients after each of the latest sweeps in a row
     # that moved beyond outer_tol
     snapshots: list[np.ndarray] = []
+    # the working set's signs after the last sweep, and those of the last
+    # face whose Newton trial was rejected
+    signs_key = rejected_key = None
+    # the point of a trial kept after the last sweep, as (beta, residual)
+    kept = None
     converged = False
     max_delta = 0.0
     sweeps = 0
@@ -558,8 +636,21 @@ def fit(
                     max_delta = max(max_delta, float(np.abs(d).max()))
                     beta[sl] = new_bl
                     res -= Zd
-        res = y - X_work @ beta[cols]
+        b_work = beta[cols]
+        res = y - X_work @ b_work
         history.append(_objective_from_residual(problem, res, beta, penalty))
+        if (
+            kept is not None and max_delta <= opts.outer_tol and history[-1] > history[-2]
+            and np.array_equal(np.sign(kept[0][cols]), np.sign(b_work))
+        ):
+            # the trial sat at the optimum to within outer_tol, and the
+            # sweep could not lower it: go back to the trial's point, which
+            # has the sweep's signs and so its zeros
+            beta, res = kept
+            b_work = beta[cols]
+            history[-1] = history[-2]
+        kept = None
+        previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
             snapshots.clear()
             entering = _screen(problem, X.T @ res, penalty) & ~work
@@ -575,18 +666,17 @@ def fit(
                 break
         elif sweeps < opts.max_sweeps:
             # never after the last sweep: a fit returns a sweep's output
-            snapshots.append(beta[cols])
+            if signs_key == previous and signs_key != rejected_key:
+                trial = _newton_step(X_work, res, b_work, col_groups[cols], lam1 * problem.weights, lam2)
+                if keep_if_lower(trial):
+                    snapshots.clear()
+                    continue
+                rejected_key = signs_key
+            snapshots.append(b_work)
             if len(snapshots) > _ANDERSON_K:
                 trial = _extrapolate(snapshots)
                 snapshots.clear()
-                if trial is not None:
-                    trial_beta = np.zeros(p)
-                    trial_beta[cols] = trial
-                    with np.errstate(all="ignore"):
-                        trial_res = y - X_work @ trial
-                        trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
-                    if trial_obj < history[-1]:
-                        beta, res, history[-1] = trial_beta, trial_res, trial_obj
+                keep_if_lower(trial)
     if report is None:
         # no gate ran on the final beta
         report = kkt_residual(problem, beta, penalty)

@@ -480,10 +480,8 @@ def test_block_caps_are_never_reached_on_benchmark_paths(monkeypatch):
     assert solver_module._solve_on_support(a0, gram, 2.0 * theta, signs, lam1w, lam2) is None
 
 
-def test_extrapolation_saves_sweeps_on_benchmark_paths():
-    # five paper draws took 493 working-set sweeps without extrapolation
-    # and take 319 with it; a change that loses the extrapolation fails here
-    plain_sweeps = 493
+def _paper_path_sweeps():
+    # working-set sweeps of five paper draws' paths at A6 tolerance
     opts = SolverOptions(outer_tol=1e-5)
     sweeps = 0
     for seed in range(100, 105):
@@ -492,7 +490,24 @@ def test_extrapolation_saves_sweeps_on_benchmark_paths():
         path = fit_path(prob, PathSpec(n_points=6, ratio_min=0.01, mixing=0.5), opts)
         assert all(pt.converged for pt in path.points)
         sweeps += sum(pt.sweeps for pt in path.points)
-    assert sweeps < 0.8 * plain_sweeps
+    return sweeps
+
+
+def test_extrapolation_saves_sweeps_on_benchmark_paths(monkeypatch):
+    # with the face steps off, five paper draws take 493 working-set sweeps
+    # without extrapolation and 319 with it; a change that loses the
+    # extrapolation fails here
+    plain_sweeps = 493
+    _without_newton(monkeypatch)
+    assert _paper_path_sweeps() < 0.8 * plain_sweeps
+
+
+def test_face_steps_save_sweeps_on_benchmark_paths():
+    # the same draws take 167 sweeps with face steps and extrapolation (the
+    # face steps alone take as many) against 319 with the extrapolation
+    # alone; a change that loses the face steps fails here
+    anderson_sweeps = 319
+    assert _paper_path_sweeps() < 0.7 * anderson_sweeps
 
 
 # ------------------------------------------------------- block prox, unit step
@@ -565,6 +580,23 @@ def _without_extrapolation(monkeypatch):
     monkeypatch.setattr(solver_module, "_ANDERSON_K", 10**9)
 
 
+def _without_newton(monkeypatch):
+    # every face step fails, and a failed step changes nothing
+    monkeypatch.setattr(solver_module, "_newton_step", lambda *args: None)
+
+
+def _solve_inside(monkeypatch, name, solve):
+    # numpy's solve is ``solve`` while solver_module.<name> runs, and only then
+    inner = getattr(solver_module, name)
+
+    def wrapped(*args):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", solve)
+            return inner(*args)
+
+    monkeypatch.setattr(solver_module, name, wrapped)
+
+
 def test_fit_objective_never_increases_between_sweeps(monkeypatch):
     rng = np.random.default_rng(26)
     for sizes, n in ([[5, 5, 5], 40], [[3] * 6, 12], [[1] * 8, 20]):
@@ -572,8 +604,11 @@ def test_fit_objective_never_increases_between_sweeps(monkeypatch):
         lmax = lambda_max(prob, 0.5)
         result = fit(prob, PenaltySpec(0.1 * lmax, 0.05 * lmax))
         assert np.all(np.diff(result.objective_history) <= 1e-12)
-    # a paper draw whose fit accepts extrapolated points: each replaces its
-    # sweep's history entry only when it is strictly lower
+    # a paper draw whose fit accepts face steps and extrapolated points:
+    # each replaces its sweep's history entry only when it is strictly
+    # lower. Its last face step lands on the optimum, and the sweep after it
+    # only re-rounds that point and reads one ulp above it; the fit then
+    # goes back to the step's point
     data = generate(SimConfig(seed=100))
     prob = build_problem(data.y, data.X, data.config.blocks)
     lam = 0.01 * lambda_max(prob, 0.5)
@@ -582,11 +617,47 @@ def test_fit_objective_never_increases_between_sweeps(monkeypatch):
     assert np.all(np.diff(result.objective_history) <= 0.0)
     with monkeypatch.context() as m:
         _without_extrapolation(m)
+        _without_newton(m)
         plain = fit(prob, pen)
     # a rejected trial changes nothing, so fewer sweeps mean accepted ones
     assert result.converged and plain.converged
     assert result.sweeps < plain.sweeps
     assert np.all(np.diff(plain.objective_history) <= 0.0)
+
+
+def test_fit_goes_back_to_a_kept_point_the_next_sweep_cannot_lower(monkeypatch):
+    # on this paper draw the last face step lands at the optimum, and the
+    # sweep after it moves nothing beyond outer_tol, keeps every sign and
+    # reads one ulp above it: the fit returns the step's point and its
+    # objective, and that sweep's history entry repeats the step's
+    data = generate(SimConfig(seed=100))
+    prob = build_problem(data.y, data.X, data.config.blocks)
+    lam = 0.01 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * lam, 0.5 * lam)
+    events = []
+    newton, evaluate = solver_module._newton_step, solver_module._objective_from_residual
+
+    def step(*args):
+        events.append("step")
+        return newton(*args)
+
+    def evaluated(problem, res, beta, penalty):
+        value = evaluate(problem, res, beta, penalty)
+        events.append((beta.copy(), value))
+        return value
+
+    monkeypatch.setattr(solver_module, "_newton_step", step)
+    monkeypatch.setattr(solver_module, "_objective_from_residual", evaluated)
+    result = fit(prob, pen)
+    assert result.converged
+    last = len(events) - 1 - events[::-1].index("step")
+    trial, trial_obj = events[last + 1]
+    swept, swept_obj = events[last + 2]
+    assert swept_obj > trial_obj
+    assert np.array_equal(np.sign(swept), np.sign(trial))
+    assert np.array_equal(result.coefficients.beta, trial)
+    assert result.objective == trial_obj
+    assert result.objective_history[-1] == result.objective_history[-2] == trial_obj
 
 
 def test_fit_rejects_a_block_update_that_raises_the_criterion(monkeypatch):
@@ -615,12 +686,16 @@ def test_fit_keeps_its_sweep_when_an_extrapolation_is_rejected(monkeypatch, bad)
     # finite, weights that cannot be normalized (no warning may escape), or
     # finite weights on an iterate four sweeps old, whose objective is not
     # below the sweep's; beta, the residual and the history must then be
-    # those of a fit that never extrapolates, bit for bit
+    # those of a fit that never extrapolates, bit for bit. Only the
+    # extrapolation's solve is spoilt; the face steps, which solve too, are
+    # off in both fits: with them this fit reaches its optimum by the sixth
+    # sweep, and an iterate four sweeps old can then read one ulp lower
     rng = np.random.default_rng(33)
     prob = random_problem(rng, 40, [5, 5, 5])
     lmax = lambda_max(prob, 0.5)
     pen = PenaltySpec(0.005 * lmax, 0.005 * lmax)
     opts = SolverOptions(outer_tol=1e-14, max_sweeps=40)
+    _without_newton(monkeypatch)
     with monkeypatch.context() as m:
         _without_extrapolation(m)
         plain = fit(prob, pen, opts)
@@ -639,12 +714,148 @@ def test_fit_keeps_its_sweep_when_an_extrapolation_is_rejected(monkeypatch, bad)
             z[0] = 1.0
         return z
 
-    monkeypatch.setattr(np.linalg, "solve", spoilt)
+    _solve_inside(monkeypatch, "_extrapolate", spoilt)
     result = fit(prob, pen, opts)
     assert calls
     assert result.sweeps == plain.sweeps
     assert np.array_equal(result.coefficients.beta, plain.coefficients.beta)
     assert np.array_equal(result.objective_history, plain.objective_history)
+
+
+@pytest.mark.parametrize("bad", ["raises", "nan", "not lower"])
+def test_fit_keeps_its_sweep_when_a_face_step_is_rejected(monkeypatch, bad):
+    # the face step's solve is singular or not finite (no warning may
+    # escape), or the step returns the sweep's own point, whose objective is
+    # not strictly below the sweep's; beta, the history and the sweeps must
+    # then be those of a fit whose face steps all fail, bit for bit
+    rng = np.random.default_rng(33)
+    prob = random_problem(rng, 40, [5, 5, 5])
+    lmax = lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.005 * lmax, 0.005 * lmax)
+    opts = SolverOptions(outer_tol=1e-14, max_sweeps=40)
+    with monkeypatch.context() as m:
+        _without_newton(m)
+        plain = fit(prob, pen, opts)
+    calls = []
+
+    def spoilt(H, grad):
+        calls.append(len(grad))
+        if bad == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(grad), np.nan)
+
+    def standing(X_work, res, b, *rest):
+        calls.append(len(b))
+        return b.copy()
+
+    if bad == "not lower":
+        monkeypatch.setattr(solver_module, "_newton_step", standing)
+    else:
+        _solve_inside(monkeypatch, "_newton_step", spoilt)
+    result = fit(prob, pen, opts)
+    # the signs settle once in these 40 sweeps, and a face whose step was
+    # rejected is not tried again
+    assert len(calls) == 1
+    assert result.sweeps == plain.sweeps
+    assert np.array_equal(result.coefficients.beta, plain.coefficients.beta)
+    assert np.array_equal(result.objective_history, plain.objective_history)
+
+
+def test_a_face_step_keeps_every_zero_at_zero(monkeypatch):
+    # a face step moves only the sweep's nonzero coefficients, so the zeros
+    # that the block solves set inside active groups stay exact zeros
+    data = generate(SimConfig(seed=100))
+    prob = build_problem(data.y, data.X, data.config.blocks)
+    lam = 0.01 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * lam, 0.5 * lam)
+    events = []
+    newton, evaluate = solver_module._newton_step, solver_module._objective_from_residual
+
+    def step(*args):
+        out = newton(*args)
+        if out is not None:
+            events.append("step")
+        return out
+
+    def evaluated(problem, res, beta, penalty):
+        value = evaluate(problem, res, beta, penalty)
+        events.append((beta.copy(), value))
+        return value
+
+    monkeypatch.setattr(solver_module, "_newton_step", step)
+    monkeypatch.setattr(solver_module, "_objective_from_residual", evaluated)
+    result = fit(prob, pen)
+    assert result.converged
+    # each step's point is evaluated right after the sweep it starts from
+    trials = [(events[i - 1], events[i + 1]) for i, e in enumerate(events) if e == "step"]
+    kept = [(s, t) for (_, s), (_, t) in trials if t in result.objective_history]
+    assert trials and kept
+    assert all(t < s for s, t in kept)
+    inside = 0
+    for (sweep, _), (trial, _) in trials:
+        zero = sweep == 0.0
+        assert np.all(trial[zero] == 0.0)
+        inside += int(np.sum(zero & np.repeat(prob.active_groups(sweep), prob.group_sizes)))
+    assert inside > 0
+
+
+def test_a_face_step_on_a_rank_deficient_face_raises_no_warning(monkeypatch):
+    # duplicate columns inside an active group, n < p and no group term
+    # (mixing 1): the face's Hessian X_S'X_S is singular, and its steps
+    # must fail or be rejected quietly
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((15, 20))
+    X[:, 1] = X[:, 0]
+    beta = rng.standard_normal(20) * (rng.random(20) < 0.5)
+    beta[0] = 2.0
+    y = X @ beta + 0.5 * rng.standard_normal(15)
+    prob = build_problem(y, X, [5] * 4)
+    pen = PenaltySpec(0.0, 0.01 * lambda_max(prob, 1.0))
+    faces = []
+    newton = solver_module._newton_step
+
+    def step(X_work, res, b, *rest):
+        X_S = X_work[:, b != 0.0]
+        faces.append((X_S.shape[1], np.linalg.matrix_rank(X_S)))
+        return newton(X_work, res, b, *rest)
+
+    monkeypatch.setattr(solver_module, "_newton_step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(prob, pen, SolverOptions(outer_tol=1e-9))
+    assert any(rank < size for size, rank in faces)
+    assert result.coefficients.beta[0] != 0.0 and result.coefficients.beta[1] != 0.0
+    assert result.converged
+    ref = fit_oracle(prob, pen, OracleOptions(tol=1e-15, max_iters=200000))
+    assert result.objective == pytest.approx(ref.objective, rel=1e-8)
+
+
+def test_newton_steps_reach_the_face_minimizer():
+    # from a point on the optimum's sign face, Newton steps on that face
+    # converge to the optimum quadratically, which a wrong gradient or
+    # Hessian (its group terms, or their block structure) would not
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((30, 8))
+    y = X @ [1.0, 2.0, 0.0, 0.0, -1.0, 0.0, 0.5, 0.0] + 0.3 * rng.standard_normal(30)
+    prob = build_problem(y, X, [4, 4])
+    lam = 0.1 * lambda_max(prob, 0.5)
+    pen = PenaltySpec(0.5 * lam, 0.5 * lam)
+    best = fit(prob, pen, SolverOptions(outer_tol=1e-13)).coefficients.beta
+    assert prob.active_groups(best).all() and not best.all()
+    groups = np.repeat([0, 1], 4)
+    lam1w = pen.lambda1 * prob.weights
+    b = best * (1.0 + 0.3 * rng.random(8))
+    for _ in range(5):
+        b = solver_module._newton_step(prob.X, prob.y - prob.X @ b, b, groups, lam1w, pen.lambda2)
+    assert np.array_equal(np.sign(b), np.sign(best))
+    assert np.abs(b - best).max() <= 1e-10 * np.abs(best).max()
+    # a group whose squared norm underflows gives no finite step, and no
+    # warning escapes
+    b[:4] = 1e-170 * np.sign(b[:4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver_module._newton_step(
+            prob.X, prob.y - prob.X @ b, b, groups, lam1w, pen.lambda2) is None
 
 
 def test_fit_restarted_from_its_own_solution_stays_put():
@@ -718,18 +929,28 @@ def test_fit_reports_nonconvergence_at_the_sweep_cap(monkeypatch):
     assert result.sweeps == 1
     assert result.objective_history.size == 2
     assert np.isfinite(result.objective)
-    # the sixth sweep is the first that could extrapolate; as the last one
-    # allowed it does not, and the fit returns that sweep's output
+    # the fourth sweep is the first after which a face step is tried and
+    # the eleventh the first after which an extrapolation is; as the last
+    # sweep allowed, neither tries one, and the fit returns that sweep's
+    # output
     calls = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
-    capped = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=6))
-    assert capped.sweeps == 6 and not capped.converged
+    _solve_inside(monkeypatch, "_extrapolate", lambda *args: calls.append(args) or solve(*args))
+    steps = []
+    newton = solver_module._newton_step
+    monkeypatch.setattr(solver_module, "_newton_step", lambda *args: steps.append(args) or newton(*args))
+    for last in (4, 5):
+        steps.clear()
+        capped = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=last))
+        assert capped.sweeps == last and not capped.converged
+        assert len(steps) == last - 4 and not calls
+    capped = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=11))
+    assert capped.sweeps == 11 and not capped.converged
     assert not calls
-    fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=7))
+    fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=12))
     assert len(calls) == 1
     _without_extrapolation(monkeypatch)
-    plain = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=6))
+    plain = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=11))
     assert np.array_equal(capped.coefficients.beta, plain.coefficients.beta)
     assert np.array_equal(capped.objective_history, plain.objective_history)
 
