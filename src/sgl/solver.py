@@ -10,9 +10,10 @@ block without a group penalty (a lasso), a least-squares solve. Blocks
 outside the working set stay zero and are screened all at once whenever
 the working set settles. Once a sweep leaves every sign of the working set
 as the sweep before did, a Newton step on that sign face is tried, and
-every few sweeps an Anderson extrapolation of the last sweeps; either is
-kept only when it lowers the criterion. A fixed point of these rules is a
-global optimum of the convex criterion.
+when it does not lower the criterion, the same step stopped where it
+first zeroes a coordinate; either is kept only when it lowers the
+criterion. A fixed point of these rules is a global optimum of the convex
+criterion.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ _SECULAR_MAX_STEPS = 50
 # A block visit takes at most 7 active-set steps on the benchmark's paths;
 # this cap only guards against a defect
 _BLOCK_MAX_STEPS = 500
-# fit extrapolates from the differences of this many + 1 consecutive sweeps
-_ANDERSON_K = 5
 # Without a group term, a face direction whose curvature and pull are both
 # below this share of the face's scales is flat: both are rounding there
 _ROUNDING = 1e-12
@@ -128,14 +127,11 @@ class SolverOptions:
     working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
     validated but changes no result.
 
-    No option controls the two accelerations that :func:`fit` tries after
-    a sweep that moves beyond ``outer_tol``: a Newton step on the sign face
-    when the sweep left every sign of the working set unchanged (not again
-    on a face whose step was rejected), and an extrapolation after every
-    six such sweeps in a row. A point is kept only when its exact criterion
-    is strictly below the sweep's, and none is tried after the last allowed
-    sweep, so a fit always returns a sweep's output or, when the sweep after
-    a kept point cannot lower it, that point, with the sweep's signs.
+    No option controls the face steps that :func:`fit` tries between
+    sweeps. A point is kept only when its exact criterion is strictly below
+    the sweep's, and none is tried after the last allowed sweep, so a fit
+    always returns a sweep's output or, when the sweep after a kept point
+    cannot lower it, that point, with the sweep's signs.
     """
 
     outer_tol: float = 1e-7
@@ -234,6 +230,30 @@ def _block_cache(problem: GroupedProblem) -> _BlockCache:
     return cache if cache is not None and cache.problem is problem else _BlockCache(problem)
 
 
+def _first_zero(
+    start: np.ndarray, move: np.ndarray, signs: np.ndarray, reach: float = math.inf,
+) -> np.ndarray | None:
+    """The point ``start + t move`` at the least ``t`` in [0, reach] where a
+    coordinate that ``move`` carries toward zero from the side of its sign
+    in ``signs`` reaches zero; None when none does by ``reach``.
+
+    That coordinate is set to exactly 0, as is any that rounding carries past
+    zero with it. Up to this point every other coordinate keeps its sign, so
+    the criterion along the move is the smooth one of the face of ``signs``.
+    """
+    toward = np.flatnonzero(move * signs < 0.0)
+    if not toward.size:
+        return None
+    steps = -start[toward] / move[toward]
+    first = int(np.argmin(steps))
+    if not steps[first] <= reach:
+        return None
+    out = start + steps[first] * move
+    out[out * signs < 0.0] = 0.0
+    out[toward[first]] = 0.0
+    return out
+
+
 def _solve_on_support(
     a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, signs: np.ndarray,
     lam1w: float, lam2: float, slot: _FaceSlot | None = None,
@@ -295,15 +315,10 @@ def _solve_on_support(
             return out
         null = mu == 0.0
     if lam1w == 0.0 or sum(q for m, q in pairs if m == 0.0) >= target:
-        ray = V[:, null] @ w[null]
-        start = theta[support]
-        ahead = np.flatnonzero(ray * s < 0.0)
-        if not ahead.size:
+        stop = _first_zero(theta[support], V[:, null] @ w[null], s)
+        if stop is None:
             return None
-        steps = -start[ahead] / ray[ahead]
-        first = int(np.argmin(steps))
-        out[support] = start + steps[first] * ray
-        out[support[ahead[first]]] = 0.0
+        out[support] = stop
         return out
     sigma = math.sqrt(float(theta @ theta)) / lam1w
     for _ in range(_SECULAR_MAX_STEPS):
@@ -353,19 +368,19 @@ def _block_minimize(
     (``lam1w = 0``) is a lasso. Each step solves the block exactly on a
     face, a support and its signs (:func:`_solve_on_support`), first on the
     face of ``theta0``. When the face minimizer flips a sign, the iterate
-    moves toward it to the first zero on the segment and drops that
-    coordinate: the criterion is the face's up to there, convex along the
-    segment, so the move descends. Otherwise the iterate becomes the face
-    minimizer, and the off-support coordinate with the largest
-    ``|(a0 - G theta)_j| > lam2`` joins the face with that gradient's sign,
-    which the next face minimizer keeps. When none is left, the block's
-    optimality conditions hold, so a warm start on the optimum's face takes
-    one face solve. A zero ``theta0`` starts at the origin step, the exact
-    minimizing step along ``prox`` (the soft-thresholded gradient, a descent
-    direction at the origin); a support that empties or a failed face solve
-    restarts there, once, and at the origin itself when ``prox`` is zero
-    (the zero test passes). Every face solve goes through ``slot``, the
-    block's :class:`_FaceSlot`.
+    moves toward it to the first zero on the segment (:func:`_first_zero`)
+    and drops that coordinate: the criterion is the face's up to there,
+    convex along the segment, so the move descends. Otherwise the iterate
+    becomes the face minimizer, and the off-support coordinate with the
+    largest ``|(a0 - G theta)_j| > lam2`` joins the face with that
+    gradient's sign, which the next face minimizer keeps. When none is
+    left, the block's optimality conditions hold, so a warm start on the
+    optimum's face takes one face solve. A zero ``theta0`` starts at the
+    origin step, the exact minimizing step along ``prox`` (the
+    soft-thresholded gradient, a descent direction at the origin); a
+    support that empties or a failed face solve restarts there, once, and
+    at the origin itself when ``prox`` is zero (the zero test passes).
+    Every face solve goes through ``slot``, the block's :class:`_FaceSlot`.
     """
     theta = np.array(theta0, dtype=float)
     signs = np.sign(theta)
@@ -385,21 +400,13 @@ def _block_minimize(
             theta = prox / max(float(u @ gram @ u), 1e-300)
             signs = np.sign(theta)
             continue
-        flipped = np.flatnonzero(np.sign(face) != signs)
-        # signs constrain a face only through the one-norm term
-        if lam2 > 0.0 and flipped.size:
-            # coordinate j of the segment reaches zero at the share
-            # |theta_j| / (|theta_j| + |face_j|) of it, at once if theta_j = 0
-            here = np.abs(theta[flipped])
-            shares = np.divide(here, here + np.abs(face[flipped]),
-                               out=np.zeros_like(here), where=here > 0.0)
-            first = int(np.argmin(shares))
-            theta = theta + shares[first] * (face - theta)
-            # rounding may carry a coordinate tied with the first past zero
-            gone = theta * signs < 0.0
-            gone[flipped[first]] = True
-            theta[gone] = 0.0
-            signs[gone] = 0.0
+        # signs constrain a face only through the one-norm term; the sign
+        # test first keeps the common step, which flips none, cheap
+        flipped = lam2 > 0.0 and bool((np.sign(face) != signs).any())
+        stop = _first_zero(theta, face - theta, signs, 1.0) if flipped else None
+        if stop is not None:
+            theta = stop
+            signs[theta == 0.0] = 0.0
             continue
         theta = face
         grad = a0 - gram @ theta
@@ -424,25 +431,6 @@ def _screen(problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec) -> n
     return _zero_test_excess(problem, xtr, penalty) > 0.0
 
 
-def _extrapolate(snapshots: list[np.ndarray]) -> np.ndarray | None:
-    """Anderson extrapolation of the fixed-point iteration through
-    ``snapshots``, K + 1 consecutive iterates (Bertrand & Massias 2021).
-
-    With ``U`` the K differences of the iterates as rows, ``z`` solves
-    ``(U U') z = 1`` and ``c = z / sum(z)`` weighs the last K iterates. None
-    when that system is singular or the result is not finite.
-    """
-    last = np.array(snapshots)
-    U = np.diff(last, axis=0)
-    with np.errstate(all="ignore"):
-        try:
-            z = np.linalg.solve(U @ U.T, np.ones(len(U)))
-        except np.linalg.LinAlgError:
-            return None
-        trial = (z / z.sum()) @ last[1:]
-    return trial if np.isfinite(trial).all() else None
-
-
 def _newton_step(
     X_work: np.ndarray, res: np.ndarray, b: np.ndarray, groups: np.ndarray,
     lam1w: np.ndarray, lam2: float,
@@ -455,8 +443,17 @@ def _newton_step(
     smooth: with ``u_g = b_g / ||b_g||`` its gradient is
     ``-X_S'r + lambda1 w_g u_g + lambda2 s`` and its Hessian
     ``X_S'X_S + (+)_g lambda1 w_g / ||b_g|| (I - u_g u_g')``. Only S moves,
-    so every zero of ``b`` stays an exact zero. None when that system is
-    singular or the step is not finite.
+    so every zero of ``b`` stays an exact zero.
+
+    A face of fewer than n columns takes the plain solve. On a wider one
+    ``X_S'X_S`` is singular (centered columns span at most n - 1
+    dimensions), so the step is taken on the Hessian's range: in its
+    eigendecomposition, eigenvalues at or below 1e-10 of the largest are
+    dropped. Where the gradient has a part ``g0`` on the dropped
+    directions, the face's quadratic model falls linearly along ``-g0``,
+    and the step runs on along it to the first coordinate it zeroes, as
+    the ray of :func:`_solve_on_support` does. None when the solve finds
+    the system singular or the step is not finite.
     """
     face = np.flatnonzero(b)
     X_S, b_S, g_S = X_work[:, face], b[face], groups[face]
@@ -467,13 +464,22 @@ def _newton_step(
         hess = X_S.T @ X_S + np.diag(c) - (g_S[:, None] == g_S) * np.outer(c * u, u)
         grad = c * b_S + lam2 * np.sign(b_S) - X_S.T @ res
         try:
-            step = np.linalg.solve(hess, grad)
+            if face.size < len(res):
+                stop = b_S - np.linalg.solve(hess, grad)
+            else:
+                mu, V = np.linalg.eigh(hess)
+                live = mu > 1e-10 * mu[-1]
+                w = V.T @ grad
+                stop = b_S - V[:, live] @ (w[live] / mu[live])
+                ray = _first_zero(stop, -(V[:, ~live] @ w[~live]), np.sign(stop))
+                if ray is not None:
+                    stop = ray
         except np.linalg.LinAlgError:
             return None
-    if not np.isfinite(step).all():
+    if not np.isfinite(stop).all():
         return None
     trial = b.copy()
-    trial[face] -= step
+    trial[face] = stop
     return trial
 
 
@@ -509,22 +515,17 @@ def fit(
 
     Block coordinate descent converges at a linear rate that can be slow
     (near-interpolating designs with n < p, warm-started levels with every
-    group active), so two kinds of trial point follow a sweep that moves a
-    coefficient by more than ``outer_tol``:
-
-    - a Newton step on the sign face (see :func:`_newton_step`; the
-      Hessian-based steps of Zhang, Zhang, Sun & Toh 2020), when every
-      working-set coefficient has the sign (-1, 0 or +1) it had after the
-      sweep before. On that face the criterion is smooth, and only its
-      nonzero coefficients move, so every zero stays exactly zero. After a
-      rejected step, that sign pattern is not tried again until it
-      changes;
-    - else an Anderson extrapolation (Bertrand & Massias 2021): each such
-      sweep keeps a copy of the working set's coefficients, and after six
-      such sweeps in a row the combination of their copies that best
-      cancels their differences (see :func:`_extrapolate`) is tried on the
-      working set's columns; then the copies start afresh, as they do
-      after a kept Newton step.
+    group active), so a sweep that moves a coefficient by more than
+    ``outer_tol`` and leaves every working-set coefficient with the sign
+    (-1, 0 or +1) it had after the sweep before is followed by a Newton
+    step on that sign face (see :func:`_newton_step`; the Hessian-based
+    steps of Zhang, Zhang, Sun & Toh 2020). On that face the criterion is
+    smooth, and only its nonzero coefficients move, so every zero stays
+    exactly zero. When the full step is not kept, the step is tried once
+    more, stopped at the first coordinate whose sign it would flip, which
+    is set to exactly 0 (see :func:`_first_zero`); up to there the
+    criterion is the face's. When neither is kept, that sign pattern is not
+    tried again until it changes.
 
     A trial is kept, with its residual and its objective as the sweep's
     history entry, only when that exact objective is strictly below the
@@ -594,11 +595,8 @@ def fit(
     cols = working_columns(work)
     X_work = X[:, cols]
     history = [_objective_from_residual(problem, res, beta, penalty)]
-    # working-set coefficients after each of the latest sweeps in a row
-    # that moved beyond outer_tol
-    snapshots: list[np.ndarray] = []
     # the working set's signs after the last sweep, and those of the last
-    # face whose Newton trial was rejected
+    # face whose step was rejected
     signs_key = rejected_key = None
     # the point of a trial kept after the last sweep, as (beta, residual)
     kept = None
@@ -652,7 +650,6 @@ def fit(
         kept = None
         previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
-            snapshots.clear()
             entering = _screen(problem, X.T @ res, penalty) & ~work
             if entering.any():
                 work |= entering
@@ -668,15 +665,12 @@ def fit(
             # never after the last sweep: a fit returns a sweep's output
             if signs_key == previous and signs_key != rejected_key:
                 trial = _newton_step(X_work, res, b_work, col_groups[cols], lam1 * problem.weights, lam2)
-                if keep_if_lower(trial):
-                    snapshots.clear()
+                if trial is not None and (
+                    keep_if_lower(trial)
+                    or keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
+                ):
                     continue
                 rejected_key = signs_key
-            snapshots.append(b_work)
-            if len(snapshots) > _ANDERSON_K:
-                trial = _extrapolate(snapshots)
-                snapshots.clear()
-                keep_if_lower(trial)
     if report is None:
         # no gate ran on the final beta
         report = kkt_residual(problem, beta, penalty)
