@@ -8,12 +8,13 @@ exact solve on a support and its signs: one eigendecomposition of the
 support's Gram matrix and Newton on a scalar secular equation, or, for a
 block without a group penalty (a lasso), a least-squares solve. Blocks
 outside the working set stay zero and are screened all at once whenever
-the working set settles. Once a sweep leaves every sign of the working set
-as the sweep before did, a Newton step on that sign face is tried, and
-when it does not lower the criterion, the same step stopped where it
-first zeroes a coordinate; either is kept only when it lowers the
-criterion. A fixed point of these rules is a global optimum of the convex
-criterion.
+the working set settles. After each sweep that moves a coefficient, and at
+a warm start before the first sweep, a Newton step on the working set's
+sign face is tried (on a face of n columns or more, only once a sweep
+leaves every sign as the sweep before did), and when it does not lower
+the criterion, the same step stopped where it first zeroes a coordinate;
+either is kept only when it lowers the criterion. A fixed point of these
+rules is a global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -127,11 +128,12 @@ class SolverOptions:
     working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
     validated but changes no result.
 
-    No option controls the face steps that :func:`fit` tries between
-    sweeps. A point is kept only when its exact criterion is strictly below
-    the sweep's, and none is tried after the last allowed sweep, so a fit
-    always returns a sweep's output or, when the sweep after a kept point
-    cannot lower it, that point, with the sweep's signs.
+    No option controls the face steps that :func:`fit` tries at a warm
+    start and between sweeps. A point is kept only when its exact criterion
+    is strictly below the one it would replace, and none is tried after the
+    last allowed sweep, so a fit always returns a sweep's output or, when
+    the sweep after a kept point cannot lower it, that point, with the
+    sweep's signs.
     """
 
     outer_tol: float = 1e-7
@@ -433,11 +435,12 @@ def _screen(problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec) -> n
 
 def _newton_step(
     X_work: np.ndarray, res: np.ndarray, b: np.ndarray, groups: np.ndarray,
-    lam1w: np.ndarray, lam2: float,
+    lam1w: np.ndarray, lam2: float, gram: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """One Newton step on the face of ``b``, the working set's coefficients,
     with ``X_work`` their columns, ``res`` the residual, ``groups`` their
-    groups and ``lam1w`` every group's ``lambda1 * w``.
+    groups, ``lam1w`` every group's ``lambda1 * w`` and ``gram``
+    ``X_work'X_work`` (formed here when not given).
 
     On the face, the support S of ``b`` and its signs s, the criterion is
     smooth: with ``u_g = b_g / ||b_g||`` its gradient is
@@ -447,35 +450,42 @@ def _newton_step(
 
     A face of fewer than n columns takes the plain solve. On a wider one
     ``X_S'X_S`` is singular (centered columns span at most n - 1
-    dimensions), so the step is taken on the Hessian's range: in its
-    eigendecomposition, eigenvalues at or below 1e-10 of the largest are
-    dropped. Where the gradient has a part ``g0`` on the dropped
-    directions, the face's quadratic model falls linearly along ``-g0``,
-    and the step runs on along it to the first coordinate it zeroes, as
-    the ray of :func:`_solve_on_support` does. None when the solve finds
-    the system singular or the step is not finite.
+    dimensions), and so it is on a narrower one whose solve fails (say,
+    with duplicate columns); there the step is taken on the Hessian's
+    range: in its eigendecomposition, eigenvalues at or below 1e-10 of the
+    largest are dropped. Where the gradient has a part ``g0`` on the
+    dropped directions, the face's quadratic model falls linearly along
+    ``-g0``, and the step runs on along it to the first coordinate it
+    zeroes, as the ray of :func:`_solve_on_support` does. None when the
+    eigendecomposition fails too or the step is not finite.
     """
     face = np.flatnonzero(b)
-    X_S, b_S, g_S = X_work[:, face], b[face], groups[face]
+    b_S, g_S = b[face], groups[face]
+    if gram is None:
+        gram = X_work.T @ X_work
     with np.errstate(all="ignore"):
         norms = np.sqrt(np.bincount(g_S, weights=b_S * b_S))[g_S]
         c = lam1w[g_S] / norms
         u = b_S / norms
-        hess = X_S.T @ X_S + np.diag(c) - (g_S[:, None] == g_S) * np.outer(c * u, u)
-        grad = c * b_S + lam2 * np.sign(b_S) - X_S.T @ res
-        try:
-            if face.size < len(res):
+        hess = gram[np.ix_(face, face)] + np.diag(c) - (g_S[:, None] == g_S) * np.outer(c * u, u)
+        grad = c * b_S + lam2 * np.sign(b_S) - (res @ X_work)[face]
+        stop = None
+        if face.size < len(res):
+            try:
                 stop = b_S - np.linalg.solve(hess, grad)
-            else:
+            except np.linalg.LinAlgError:
+                pass  # singular after all: the range step below
+        if stop is None:
+            try:
                 mu, V = np.linalg.eigh(hess)
-                live = mu > 1e-10 * mu[-1]
-                w = V.T @ grad
-                stop = b_S - V[:, live] @ (w[live] / mu[live])
-                ray = _first_zero(stop, -(V[:, ~live] @ w[~live]), np.sign(stop))
-                if ray is not None:
-                    stop = ray
-        except np.linalg.LinAlgError:
-            return None
+            except np.linalg.LinAlgError:
+                return None
+            live = mu > 1e-10 * mu[-1]
+            w = V.T @ grad
+            stop = b_S - V[:, live] @ (w[live] / mu[live])
+            ray = _first_zero(stop, -(V[:, ~live] @ w[~live]), np.sign(stop))
+            if ray is not None:
+                stop = ray
     if not np.isfinite(stop).all():
         return None
     trial = b.copy()
@@ -515,26 +525,33 @@ def fit(
 
     Block coordinate descent converges at a linear rate that can be slow
     (near-interpolating designs with n < p, warm-started levels with every
-    group active), so a sweep that moves a coefficient by more than
-    ``outer_tol`` and leaves every working-set coefficient with the sign
-    (-1, 0 or +1) it had after the sweep before is followed by a Newton
-    step on that sign face (see :func:`_newton_step`; the Hessian-based
-    steps of Zhang, Zhang, Sun & Toh 2020). On that face the criterion is
+    group active), so each sweep that moves a coefficient by more than
+    ``outer_tol`` is followed by a Newton step on the sign face of the
+    working set's coefficients, their support and signs (see
+    :func:`_newton_step`; the Hessian-based steps of Zhang, Zhang, Sun &
+    Toh 2020). A face of n columns or more, whose Hessian is singular,
+    waits until a sweep leaves every working-set coefficient with the sign
+    (-1, 0 or +1) it had after the sweep before. A warm start tries one
+    step on its own face before the first sweep: the solution of a nearby
+    penalty carries its signs, and the step is the predictor of a homotopy
+    method (Osborne, Presnell & Turlach 2000). On a face the criterion is
     smooth, and only its nonzero coefficients move, so every zero stays
     exactly zero. When the full step is not kept, the step is tried once
     more, stopped at the first coordinate whose sign it would flip, which
     is set to exactly 0 (see :func:`_first_zero`); up to there the
     criterion is the face's. When neither is kept, that sign pattern is not
-    tried again until it changes.
+    tried again until it changes. The steps slice ``X_S'X_S`` from one
+    Gram of the working set's columns, formed at the first step on them.
 
     A trial is kept, with its residual and its objective as the sweep's
-    history entry, only when that exact objective is strictly below the
-    sweep's; so a trial never raises the history, groups outside the
-    working set stay exactly zero, and a singular or non-finite solve
-    changes nothing. A kept trial can land on the optimum itself; when the
-    sweep after it moves nothing beyond ``outer_tol``, leaves every sign
-    as the trial's and still reads above it, that sweep could not lower
-    the point, and the fit goes back to the trial's point and objective.
+    history entry (the start's, at a warm start), only when that exact
+    objective is strictly below the entry's; so a trial never raises the
+    history, groups outside the working set stay exactly zero, and a
+    singular or non-finite solve changes nothing. A kept trial can land on
+    the optimum itself; when the sweep after it moves nothing beyond
+    ``outer_tol``, leaves every sign as the trial's and still reads above
+    it, that sweep could not lower the point, and the fit goes back to the
+    trial's point and objective.
     None is tried after a sweep that meets the stop rule or after the last
     allowed sweep, so the returned ``beta`` is always a block sweep's
     output or a point with the same signs, and has a sweep's exact zeros.
@@ -572,10 +589,11 @@ def fit(
         return np.flatnonzero(np.repeat(work, problem.group_sizes))
 
     col_groups = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
+    group_lam1w = lam1 * problem.weights
 
     def keep_if_lower(trial: np.ndarray | None) -> bool:
         # keep a trial of the working set's coefficients only when its exact
-        # objective is strictly below the sweep's
+        # objective is strictly below the history's last entry
         nonlocal beta, res, kept
         if trial is None:
             return False
@@ -590,16 +608,36 @@ def fit(
         kept = trial_beta.copy(), trial_res.copy()
         return True
 
+    def face_step(b_work: np.ndarray, key: bytes) -> None:
+        # the Newton step on the face of b_work, whose signs are key, then
+        # that step stopped at its first sign change; a face where neither
+        # is kept is not tried again until the signs change
+        nonlocal work_gram, rejected_key
+        if key == rejected_key or not b_work.any():
+            return
+        if work_gram is None:
+            work_gram = X_work.T @ X_work
+        trial = _newton_step(X_work, res, b_work, col_groups[cols], group_lam1w, lam2, work_gram)
+        if trial is None or not (
+            keep_if_lower(trial)
+            or keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
+        ):
+            rejected_key = key
+
     # only working-set columns can be nonzero, so each sweep's exact
-    # residual is formed from those alone
+    # residual is formed from those alone; their Gram is formed for the
+    # first face step on them
     cols = working_columns(work)
-    X_work = X[:, cols]
+    X_work, work_gram = X[:, cols], None
     history = [_objective_from_residual(problem, res, beta, penalty)]
     # the working set's signs after the last sweep, and those of the last
     # face whose step was rejected
     signs_key = rejected_key = None
-    # the point of a trial kept after the last sweep, as (beta, residual)
+    # the point of a trial kept since the last sweep, as (beta, residual)
     kept = None
+    # a warm start carries the signs of a nearby optimum: step on its face
+    # before the first sweep
+    face_step(beta[cols], np.sign(beta[cols]).tobytes())
     converged = False
     max_delta = 0.0
     sweeps = 0
@@ -654,23 +692,17 @@ def fit(
             if entering.any():
                 work |= entering
                 cols = working_columns(work)
-                X_work = X[:, cols]
+                X_work, work_gram = X[:, cols], None
                 continue
             report = kkt_residual(problem, beta, penalty)
             converged = report.worst_violation <= kkt_gate
             # a stalled fit stops too, but it has not converged
             if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
-        elif sweeps < opts.max_sweeps:
-            # never after the last sweep: a fit returns a sweep's output
-            if signs_key == previous and signs_key != rejected_key:
-                trial = _newton_step(X_work, res, b_work, col_groups[cols], lam1 * problem.weights, lam2)
-                if trial is not None and (
-                    keep_if_lower(trial)
-                    or keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
-                ):
-                    continue
-                rejected_key = signs_key
+        elif sweeps < opts.max_sweeps and (np.count_nonzero(b_work) < len(y) or signs_key == previous):
+            # never after the last sweep: a fit returns a sweep's output. A
+            # face of n columns or more waits until its signs settle
+            face_step(b_work, signs_key)
     if report is None:
         # no gate ran on the final beta
         report = kkt_residual(problem, beta, penalty)
