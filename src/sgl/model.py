@@ -236,10 +236,13 @@ def _group_norms(problem: GroupedProblem, v: np.ndarray, order: float = 2) -> np
 def _objective_from_residual(
     problem: GroupedProblem, residual: np.ndarray, beta: np.ndarray, penalty: PenaltySpec
 ) -> float:
-    # fsum keeps sweep-over-sweep objective comparisons meaningful at 1e-12 scale
+    # fsum keeps sweep-over-sweep objective comparisons meaningful at 1e-12
+    # scale; it sums exactly, so the exact zeros of the penalty terms, most
+    # of them on a sparse fit, are left out without changing a bit
     rss = math.fsum((residual * residual).tolist())
-    group_term = math.fsum((problem.weights * _group_norms(problem, beta)).tolist())
-    l1 = math.fsum(np.abs(beta).tolist())
+    group_terms = problem.weights * _group_norms(problem, beta)
+    group_term = math.fsum(group_terms[group_terms != 0.0].tolist())
+    l1 = math.fsum(np.abs(beta[beta != 0.0]).tolist())
     return 0.5 * rss + penalty.lambda1 * group_term + penalty.lambda2 * l1
 
 

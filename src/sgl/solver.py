@@ -172,22 +172,46 @@ class _FaceSlot:
         return self.support, self.mu, self.V
 
 
+class _Columns:
+    """The columns of the groups of a mask, whose bytes are ``key``: their
+    indices ``cols``, ``X`` itself when that is every column and a copy of
+    them otherwise, and, formed on first use, their Gram ``X'X``."""
+
+    def __init__(self, problem: GroupedProblem, groups: np.ndarray):
+        self.key = groups.tobytes()
+        self.cols = np.flatnonzero(np.repeat(groups, problem.group_sizes))
+        self.X = problem.X if self.cols.size == problem.p else problem.X[:, self.cols]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.X.T @ self.X
+
+
 class _BlockCache:
     """What every fit of one problem can share, whatever its penalty: each
     block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
-    visit, so groups that never enter cost nothing, and ``X'y``, which sets
-    the scale ``max(1, ||X'y||_inf)`` of the KKT gate, the first screen of
-    a fit from zero and, in :func:`sgl.path.lambda_max`, the path's first
-    level.
+    visit, so groups that never enter cost nothing; ``X'y``, which sets
+    the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
+    :func:`sgl.path.lambda_max`, the path's first level; the last ``X'r``
+    that :meth:`gradient` formed, with its residual; and the
+    :class:`_Columns` of the last residual's groups and of the last working
+    set.
 
     A block holds its Gram and at most one decomposition of a principal
-    submatrix of it, so the cache holds at most about twice the Grams'
-    sum of k_g^2 floats.
+    submatrix of it, so the blocks hold at most about twice the Grams' sum
+    of k_g^2 floats; the two column sets hold at most two copies of ``X``
+    and the Gram of the working set's columns.
     """
 
     def __init__(self, problem: GroupedProblem):
         self.problem = problem
         self._blocks: list[tuple[np.ndarray, _FaceSlot] | None] = [None] * problem.n_groups
+        # the bytes of the last residual asked of gradient, and its X'r
+        self._res_key: bytes | None = None
+        self._xtr: np.ndarray | None = None
+        # the columns of the last residual's groups and of the last working set
+        self._support: _Columns | None = None
+        self._work: _Columns | None = None
 
     def block(self, ell: int) -> tuple[np.ndarray, _FaceSlot]:
         """Block ``ell``'s Gram matrix and face slot."""
@@ -199,7 +223,62 @@ class _BlockCache:
 
     @cached_property
     def xty(self) -> np.ndarray:
-        return self.problem.X.T @ self.problem.y
+        xty = self.problem.X.T @ self.problem.y
+        xty.setflags(write=False)
+        return xty
+
+    def _columns(self, held: _Columns | None, groups: np.ndarray) -> _Columns:
+        # held when it is the columns of the groups of mask groups
+        if held is not None and held.key == groups.tobytes():
+            return held
+        return _Columns(self.problem, groups)
+
+    def working_set(self, work: np.ndarray) -> _Columns:
+        """The columns of the groups of mask ``work`` and their Gram, kept
+        while the working set holds, across the levels of a path too."""
+        self._work = self._columns(self._work, work)
+        return self._work
+
+    def residual(self, beta: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
+        """``y - X_A beta_A``, with A the columns of the groups of ``beta``
+        that hold a nonzero (``active``, their mask, when the caller knows
+        it).
+
+        Every residual of a fit and of :func:`kkt_residual` is formed here,
+        so the same ``beta`` gives the same bits wherever it is formed, and
+        :meth:`gradient` can tell a residual it has seen. When every group
+        is nonzero the product is with ``X`` as it is; otherwise with a copy
+        of the columns of A (none when ``beta`` is zero: then the residual
+        has the bits of ``y``), kept while the next residual's groups are
+        the same.
+        """
+        if active is None:
+            active = _group_norms(self.problem, beta, np.inf) != 0.0
+        support = self._support = self._columns(self._support, active)
+        return self.problem.y - support.X @ beta[support.cols]
+
+    def gradient(self, res: np.ndarray) -> np.ndarray:
+        """``X'res``, read-only, formed only when ``res`` is not bit for bit
+        the residual of the last call.
+
+        The residual is kept as a copy of its bytes, so one changed in
+        place since the call is a new one. A residual with the bits of ``y``
+        takes :attr:`xty`: a fit from zero screens the very array that
+        :func:`sgl.path.lambda_max` tests, so a fit at that level is
+        all-zero. A residual formed by :meth:`residual` from the same
+        coefficients has the same bits, so inside :func:`sgl.path.fit_path`
+        the product of a level's last screen also serves its KKT report and
+        the next level's warm start.
+        """
+        key = res.tobytes()
+        if key != self._res_key:
+            if key == self.problem.y.tobytes():
+                xtr = self.xty
+            else:
+                xtr = self.problem.X.T @ res
+                xtr.setflags(write=False)
+            self._res_key, self._xtr = key, xtr
+        return self._xtr
 
     @cached_property
     def gate_scale(self) -> float:
@@ -211,15 +290,16 @@ _shared_cache: ContextVar[_BlockCache | None] = ContextVar("_shared_cache", defa
 
 
 @contextmanager
-def _sharing_block_cache(problem: GroupedProblem):
-    """Let every :func:`fit` of ``problem`` inside the ``with`` block share one
-    :class:`_BlockCache`, as :func:`sgl.path.fit_path`'s levels do.
+def _sharing_block_cache(problem: GroupedProblem, cache: _BlockCache | None = None):
+    """Let every :func:`fit` and :func:`kkt_residual` of ``problem`` inside
+    the ``with`` block share one :class:`_BlockCache`, ``cache`` or a fresh
+    one, as :func:`sgl.path.fit_path`'s levels and a fit's KKT report do.
 
-    The levels keep calling the public ``fit`` (whose binding in
-    ``sgl.path`` perfbench's tracer times), and a context variable keeps
-    the sharing to this thread or task and to this very problem.
+    The callers keep calling the public ``fit`` and ``kkt_residual`` (whose
+    bindings perfbench's tracer times), and a context variable keeps the
+    sharing to this thread or task and to this very problem.
     """
-    token = _shared_cache.set(_BlockCache(problem))
+    token = _shared_cache.set(_BlockCache(problem) if cache is None else cache)
     try:
         yield
     finally:
@@ -513,11 +593,13 @@ def fit(
     change, is at most 1e-14 of the criterion's scale, and then updates the
     residual by ``-Zd``; so no accepted update raises the criterion beyond
     its rounding, and the objective is nonincreasing sweep over sweep up to
-    that rounding. After each sweep the residual is formed afresh from the
-    working set's columns, the only ones that can be nonzero. When a sweep
-    moves no coefficient by more than ``outer_tol``, all other groups are
-    screened at once at that residual, and any that fail the zero test join
-    the working set; once none do, the fit stops, converged if its
+    that rounding. After each sweep the residual is formed afresh as
+    ``y - X_A b_A``, with A the columns of the nonzero groups, the one
+    formula for every residual of a fit and of :func:`kkt_residual`, so the
+    same coefficients give the same bits wherever they are formed. When a
+    sweep moves no coefficient by more than ``outer_tol``, all other groups
+    are screened at once at that residual, and any that fail the zero test
+    join the working set; once none do, the fit stops, converged if its
     first-order violations pass the gate of :class:`SolverOptions` and
     unconverged if its sweeps have stalled short of it. With both penalties
     zero this is plain least squares; a rank-deficient design then sets
@@ -541,7 +623,8 @@ def fit(
     is set to exactly 0 (see :func:`_first_zero`); up to there the
     criterion is the face's. When neither is kept, that sign pattern is not
     tried again until it changes. The steps slice ``X_S'X_S`` from one
-    Gram of the working set's columns, formed at the first step on them.
+    Gram of the working set's columns, formed at the first step on them
+    and kept while the working set holds.
 
     A trial is kept, with its residual and its objective as the sweep's
     history entry (the start's, at a warm start), only when that exact
@@ -559,14 +642,19 @@ def fit(
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
     eigendecomposition of ``G`` on the support of the block's last face
-    solve, reused while that support holds, and ``X'y`` for the gate's
-    scale ``max(1, ||X'y||_inf)`` and the first screen of a start from zero.
-    Each call makes a fresh one, except inside
-    :func:`sgl.path.fit_path`, whose levels share one; the results are the
-    same either way.
+    solve, reused while that support holds, ``X'y`` for the gate's scale
+    ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
+    working set's columns and their Gram, kept while the working set holds,
+    and the last ``X'r`` it formed, with its residual. So a fit forms one
+    ``X'r`` per screen: one at a warm start and one at each stop screen,
+    whose last also serves the KKT report, which :func:`kkt_residual` makes
+    on the fit's cache. Each call makes a fresh cache, except inside
+    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
+    warm start takes the product of the level before's last screen; the
+    results are the same either way.
     """
     opts = opts or SolverOptions()
-    X, y = problem.X, problem.y
+    X = problem.X
     p = problem.p
     if warm is None:
         beta = np.zeros(p)
@@ -577,16 +665,9 @@ def fit(
     cache = _block_cache(problem)
     kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
 
-    if beta.any():
-        res = y - X @ beta
-        xtr = X.T @ res
-    else:
-        # lambda_max tests this very array, so a fit at its level is all-zero
-        res, xtr = y.copy(), cache.xty
-    work = problem.active_groups(beta) | _screen(problem, xtr, penalty)
-
-    def working_columns(work: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(np.repeat(work, problem.group_sizes))
+    active = problem.active_groups(beta)
+    res = cache.residual(beta, active)
+    work = active | _screen(problem, cache.gradient(res), penalty)
 
     col_groups = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
     group_lam1w = lam1 * problem.weights
@@ -598,9 +679,9 @@ def fit(
         if trial is None:
             return False
         trial_beta = np.zeros(p)
-        trial_beta[cols] = trial
+        trial_beta[work_set.cols] = trial
         with np.errstate(all="ignore"):
-            trial_res = y - X_work @ trial
+            trial_res = cache.residual(trial_beta)
             trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
         if not trial_obj < history[-1]:
             return False
@@ -608,27 +689,31 @@ def fit(
         kept = trial_beta.copy(), trial_res.copy()
         return True
 
+    def report_kkt() -> KktReport:
+        # the public kkt_residual on this fit's cache: at the stop it forms
+        # no product, its residual being the last screen's bit for bit
+        with _sharing_block_cache(problem, cache):
+            return kkt_residual(problem, beta, penalty)
+
     def face_step(b_work: np.ndarray, key: bytes) -> None:
         # the Newton step on the face of b_work, whose signs are key, then
         # that step stopped at its first sign change; a face where neither
         # is kept is not tried again until the signs change
-        nonlocal work_gram, rejected_key
+        nonlocal rejected_key
         if key == rejected_key or not b_work.any():
             return
-        if work_gram is None:
-            work_gram = X_work.T @ X_work
-        trial = _newton_step(X_work, res, b_work, col_groups[cols], group_lam1w, lam2, work_gram)
+        trial = _newton_step(
+            work_set.X, res, b_work, col_groups[work_set.cols], group_lam1w, lam2, work_set.gram
+        )
         if trial is None or not (
             keep_if_lower(trial)
             or keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
         ):
             rejected_key = key
 
-    # only working-set columns can be nonzero, so each sweep's exact
-    # residual is formed from those alone; their Gram is formed for the
-    # first face step on them
-    cols = working_columns(work)
-    X_work, work_gram = X[:, cols], None
+    # the working set's columns; their Gram is formed for the first face
+    # step on them and kept while the working set holds
+    work_set = cache.working_set(work)
     history = [_objective_from_residual(problem, res, beta, penalty)]
     # the working set's signs after the last sweep, and those of the last
     # face whose step was rejected
@@ -637,7 +722,7 @@ def fit(
     kept = None
     # a warm start carries the signs of a nearby optimum: step on its face
     # before the first sweep
-    face_step(beta[cols], np.sign(beta[cols]).tobytes())
+    face_step(beta[work_set.cols], np.sign(beta[work_set.cols]).tobytes())
     converged = False
     max_delta = 0.0
     sweeps = 0
@@ -672,40 +757,41 @@ def fit(
                     max_delta = max(max_delta, float(np.abs(d).max()))
                     beta[sl] = new_bl
                     res -= Zd
-        b_work = beta[cols]
-        res = y - X_work @ b_work
+        b_work = beta[work_set.cols]
+        res = cache.residual(beta)
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if (
             kept is not None and max_delta <= opts.outer_tol and history[-1] > history[-2]
-            and np.array_equal(np.sign(kept[0][cols]), np.sign(b_work))
+            and np.array_equal(np.sign(kept[0][work_set.cols]), np.sign(b_work))
         ):
             # the trial sat at the optimum to within outer_tol, and the
             # sweep could not lower it: go back to the trial's point, which
             # has the sweep's signs and so its zeros
             beta, res = kept
-            b_work = beta[cols]
+            b_work = beta[work_set.cols]
             history[-1] = history[-2]
         kept = None
         previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
-            entering = _screen(problem, X.T @ res, penalty) & ~work
+            entering = _screen(problem, cache.gradient(res), penalty) & ~work
             if entering.any():
                 work |= entering
-                cols = working_columns(work)
-                X_work, work_gram = X[:, cols], None
+                work_set = cache.working_set(work)
                 continue
-            report = kkt_residual(problem, beta, penalty)
+            report = report_kkt()
             converged = report.worst_violation <= kkt_gate
             # a stalled fit stops too, but it has not converged
             if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
-        elif sweeps < opts.max_sweeps and (np.count_nonzero(b_work) < len(y) or signs_key == previous):
+        elif sweeps < opts.max_sweeps and (
+            np.count_nonzero(b_work) < problem.n or signs_key == previous
+        ):
             # never after the last sweep: a fit returns a sweep's output. A
             # face of n columns or more waits until its signs settle
             face_step(b_work, signs_key)
     if report is None:
         # no gate ran on the final beta
-        report = kkt_residual(problem, beta, penalty)
+        report = report_kkt()
     degenerate = False
     if lam1 == 0.0 and lam2 == 0.0:
         degenerate = int(np.linalg.matrix_rank(X)) < p
@@ -729,12 +815,18 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     report how far the soft-thresholded gradient vector sticks out of the
     ball of radius ``lambda1 * w`` (its sup norm when that radius is zero).
     All entries vanish exactly at an optimum.
+
+    The gradient is ``X'r`` at the residual that :func:`fit` forms for
+    ``beta``, taken from the problem's shared :class:`_BlockCache` when one
+    is set: inside a fit or a path, a report on the coefficients of the last
+    screen forms no product of its own.
     """
-    coefs = problem.coefficients(beta)
-    b = coefs.beta
-    grad = problem.X.T @ (problem.y - problem.X @ b)
+    b = problem.coefficients(beta).beta
+    peaks = _group_norms(problem, b, np.inf)
+    active = peaks != 0.0
+    cache = _block_cache(problem)
+    grad = cache.gradient(cache.residual(b, active))
     lam1, lam2 = penalty.lambda1, penalty.lambda2
-    active = problem.active_groups(coefs)
     sizes = problem.group_sizes
     # zero blocks: the soft-thresholded gradient against the group radius
     stat = grad
@@ -743,7 +835,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
         # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||,
         # with b_g first scaled by its largest magnitude so that a norm whose
         # square underflows still divides
-        peaks = np.where(active, _group_norms(problem, b, np.inf), 1.0)
+        peaks = np.where(active, peaks, 1.0)
         scaled = b / np.repeat(peaks, sizes)
         norms = np.where(active, _group_norms(problem, scaled), 1.0)
         stat = grad - np.repeat(lam1 * problem.weights, sizes) * (scaled / np.repeat(norms, sizes))

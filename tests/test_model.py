@@ -1,7 +1,10 @@
 """Problem construction, objective evaluation, prediction, and CSV loading."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sgl import (
     Coefficients,
@@ -14,6 +17,7 @@ from sgl import (
     objective,
     predict,
 )
+from sgl.model import _group_norms, _objective_from_residual
 
 from _reference import brute_objective, least_squares, random_problem
 
@@ -184,6 +188,39 @@ def test_objective_is_convex_along_segments():
         mix = objective(prob, t * b1 + (1 - t) * b2, pen)
         bound = t * objective(prob, b1, pen) + (1 - t) * objective(prob, b2, pen)
         assert mix <= bound + 1e-10
+
+
+# entries that are exact zeros of either sign about half the time
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+
+
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    weight_mode=st.sampled_from(["unit", "sqrt-size"]),
+    lam1=st.just(0.0) | st.floats(0.0, 10.0),
+    lam2=st.just(0.0) | st.floats(0.0, 10.0),
+    data=st.data(),
+)
+def test_objective_leaves_out_exact_zeros_without_changing_a_bit(
+    sizes, weight_mode, lam1, lam2, data
+):
+    # fsum rounds the exact sum once, so dropping the penalty terms' exact
+    # zeros (whole zero groups, -0.0, an all-zero beta) must give the very
+    # float of the full-vector sums
+    p = sum(sizes)
+    rng = np.random.default_rng(0)
+    prob = build_problem(rng.standard_normal(4), rng.standard_normal((4, p)), sizes, weight_mode)
+    beta = np.array(data.draw(st.lists(_ENTRIES, min_size=p, max_size=p)))
+    zeroed = data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    beta[np.repeat(zeroed, sizes)] *= 0.0
+    residual = np.array(data.draw(st.lists(_ENTRIES, min_size=4, max_size=4)))
+    got = _objective_from_residual(prob, residual, beta, PenaltySpec(lam1, lam2))
+    full = (
+        0.5 * math.fsum((residual * residual).tolist())
+        + lam1 * math.fsum((prob.weights * _group_norms(prob, beta)).tolist())
+        + lam2 * math.fsum(np.abs(beta).tolist())
+    )
+    assert (got, math.copysign(1.0, got)) == (full, math.copysign(1.0, full))
 
 
 def test_objective_rejects_wrong_length():

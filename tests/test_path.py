@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sgl.path as path_module
+import sgl.solver as solver_module
 from sgl import (
     PathSpec,
     PenaltySpec,
@@ -225,14 +227,29 @@ def _unequal_problem():
     return random_problem(np.random.default_rng(64), 50, [1, 3, 17, 40], weight_mode="sqrt-size")
 
 
+def _small_wide_problem():
+    # the benchmark's small wide draw: on this path working sets keep up to
+    # four zero groups, so residuals come from a part of the columns
+    config = SimConfig(n=80, blocks=(5,) * 20, nonzero_counts=(5, 4, 3, 2, 1), seed=1)
+    data = generate(config)
+    return build_problem(data.y, data.X, config.blocks)
+
+
 @pytest.mark.parametrize(
     "make, mixing",
-    [(_sim_problem, 0.0), (_sim_problem, 0.5), (_sim_problem, 1.0), (_unequal_problem, 0.5)],
+    [
+        (_sim_problem, 0.0),
+        (_sim_problem, 0.5),
+        (_sim_problem, 1.0),
+        (_unequal_problem, 0.5),
+        (_small_wide_problem, 0.5),
+    ],
 )
 def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
     # the levels of a path share one block cache (Grams, each block's last
-    # support decomposition, the KKT gate's scale); a loop of public fits
-    # builds all of it afresh at every level, and must give the same bits
+    # support decomposition, the KKT gate's scale, the last X'r and so each
+    # warm start's); a loop of public fits builds all of it afresh at every
+    # level, and must give the same bits
     prob = make()
     opts = SolverOptions(outer_tol=1e-5)
     result = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=mixing), opts)
@@ -242,3 +259,94 @@ def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
         assert np.array_equal(alone.coefficients.beta, pt.coefficients.beta)
         assert alone.sweeps == pt.sweeps
         warm = alone.coefficients
+
+
+def test_a_path_forms_one_gradient_per_screen(monkeypatch):
+    # X'r is formed once per screen: a level's warm start takes the product
+    # of the level before's last screen, and a converged level's KKT report
+    # takes its own last screen's; neither forms one
+    calls, in_kkt = [], []
+    gradient, kkt, fit_level = (
+        solver_module._BlockCache.gradient, solver_module.kkt_residual, path_module.fit
+    )
+
+    def counted_gradient(cache, res):
+        before = cache._xtr
+        out = gradient(cache, res)
+        formed = out is not before and out is not cache.xty
+        calls[-1].append(("kkt" if in_kkt else "screen", formed))
+        return out
+
+    def counted_fit(*args, **kwargs):
+        calls.append([])
+        return fit_level(*args, **kwargs)
+
+    def counted_kkt(*args):
+        in_kkt.append(True)
+        try:
+            return kkt(*args)
+        finally:
+            in_kkt.pop()
+
+    monkeypatch.setattr(solver_module._BlockCache, "gradient", counted_gradient)
+    monkeypatch.setattr(solver_module, "kkt_residual", counted_kkt)
+    monkeypatch.setattr(path_module, "fit", counted_fit)
+    result = fit_path(
+        _small_wide_problem(), PathSpec(n_points=8, ratio_min=0.01, mixing=0.5),
+        SolverOptions(outer_tol=1e-5),
+    )
+    assert all(pt.converged for pt in result.points)
+    assert len(calls) == 8
+    # the first level, at lambda_max, screens the cached X'y throughout
+    assert [formed for _, formed in calls[0]] == [False] * len(calls[0])
+    for level in calls[1:]:
+        start, *stops, report = level
+        assert start == ("screen", False)
+        assert report == ("kkt", False)
+        assert stops and all(kind == "screen" and formed for kind, formed in stops)
+
+
+def test_a_remembered_gradient_is_never_stale():
+    prob = _small_wide_problem()
+    cache = solver_module._BlockCache(prob)
+    # a residual with the bits of y takes the cached X'y as it is
+    assert cache.gradient(prob.y.copy()) is cache.xty
+    beta = np.zeros(prob.p)
+    beta[:7] = np.linspace(-1.0, 1.0, 7)
+    res = cache.residual(beta)
+    first = cache.gradient(res)
+    assert cache.gradient(res.copy()) is first
+    assert not first.flags.writeable
+    # a residual changed in place after its lookup is a new residual
+    kept = first.copy()
+    res[3] += 1.0
+    again = cache.gradient(res)
+    assert again is not first
+    assert np.array_equal(again, prob.X.T @ res)
+    assert np.array_equal(first, kept)
+    # bitwise keys: a zero of the other sign is another residual
+    zero = np.zeros(prob.n)
+    assert cache.gradient(zero) is not cache.gradient(-zero)
+
+
+def test_a_path_forms_a_working_set_gram_once_while_the_set_holds(monkeypatch):
+    # the levels of a path that keep one working set take their face steps
+    # on one Gram of its columns, 3 Grams for this path's 20 face steps; a
+    # loop of lone fits forms one per level that steps, 7
+    grams = []
+    newton = solver_module._newton_step
+
+    def recorded(*args):
+        grams.append(args[-1])
+        return newton(*args)
+
+    monkeypatch.setattr(solver_module, "_newton_step", recorded)
+    prob, opts = _sim_problem(), SolverOptions(outer_tol=1e-5)
+    result = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
+    on_path = len({id(gram) for gram in grams})
+    grams.clear()
+    warm = None
+    for pt in result.points:
+        warm = fit(prob, pt.penalty, opts, warm).coefficients
+    in_loop = len({id(gram) for gram in grams})
+    assert on_path <= 3 < in_loop

@@ -1179,6 +1179,44 @@ def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
     assert cut.kkt.worst_violation == kkt(prob, cut.coefficients, pen).worst_violation
 
 
+def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
+    # a warm-started fit forms X'r at its start and at each stop screen; the
+    # KKT report's residual is the last screen's, bit for bit, so it forms
+    # none, and a fit from zero screens X'y
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 12))
+    y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
+    prob = build_problem(y, X, [4, 4, 4])
+    lam = lambda_max(prob, 0.5)
+    warm = fit(prob, PenaltySpec(0.3 * lam, 0.3 * lam)).coefficients
+    gradient, kkt = solver_module._BlockCache.gradient, solver_module.kkt_residual
+    calls, in_kkt = [], []
+
+    def counted_gradient(cache, res):
+        before = cache._xtr
+        out = gradient(cache, res)
+        calls.append((bool(in_kkt), out is not before and out is not cache.xty))
+        return out
+
+    def counted_kkt(*args):
+        in_kkt.append(True)
+        try:
+            return kkt(*args)
+        finally:
+            in_kkt.pop()
+
+    monkeypatch.setattr(solver_module._BlockCache, "gradient", counted_gradient)
+    monkeypatch.setattr(solver_module, "kkt_residual", counted_kkt)
+    for start in (warm, None):
+        calls.clear()
+        result = fit(prob, PenaltySpec(0.2 * lam, 0.2 * lam), warm=start)
+        assert result.converged
+        first, *stops, report = calls
+        assert first == (False, start is not None)
+        assert stops and all(not kind and formed for kind, formed in stops)
+        assert report == (True, False)
+
+
 def _degenerate_case(name):
     rng = np.random.default_rng(47)
     n, sizes, mixing, ratio, weight_mode = 40, [4, 4, 4], 0.5, 0.3, "unit"
