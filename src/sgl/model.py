@@ -247,10 +247,17 @@ def _objective_from_residual(
 
 
 def objective(problem: GroupedProblem, beta, penalty: PenaltySpec) -> float:
-    """Penalized criterion: half the residual sum of squares plus both penalty terms."""
+    """Penalized criterion: half the residual sum of squares plus both penalty terms.
+
+    The residual is formed by the block cache's one formula,
+    ``y - X_A beta_A`` with A the columns of the nonzero groups, as
+    :func:`sgl.fit` forms it, so on a fit's coefficients this is the fit's
+    reported objective bit for bit.
+    """
+    from .solver import _block_cache  # the solver imports this module
+
     b = problem.coefficients(beta).beta
-    residual = problem.y - problem.X @ b
-    return _objective_from_residual(problem, residual, b, penalty)
+    return _objective_from_residual(problem, _block_cache(problem).residual(b), b, penalty)
 
 
 def predict(problem: GroupedProblem, beta, new_rows) -> np.ndarray:

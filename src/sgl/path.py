@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coefficients, GroupedProblem, PenaltySpec, _group_norms
-from .solver import SolverOptions, _block_cache, _sharing_block_cache, _zero_test_excess, fit
+from .model import Coefficients, GroupedProblem, PenaltySpec
+from .solver import SolverOptions, _block_cache, _sharing_block_cache, _shrink, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
 
@@ -70,50 +70,36 @@ class PathResult:
 def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     """Smallest total level at which every block's zero test passes at beta = 0.
 
-    Closed form at the mixing endpoints; in between, the pass condition is
-    monotone in the level, so the root is found by bisection to 1e-10
-    relative width. The returned level always passes the test exactly as
-    fit's first screen evaluates it, so fitting there yields all zeros.
+    Each group's excess ``||S(X_g'y, alpha lam)|| - (1-alpha) lam w_g`` is
+    convex and decreasing in ``lam``, so Newton on the worst group from 0,
+    with slope ``alpha ||S||_1 / ||S|| + (1-alpha) w_g`` and at least one
+    ulp a step, climbs to the root from below; rounding can carry it a few
+    ulps past, so it then steps back while the float below passes too.
+    Every decision is the zero-test kernel of fit's first screen on the
+    same ``X'y``, so a fit at the level is all-zero, and that screen fails
+    one float below it.
     """
     alpha = float(mixing)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
-    # X'y from the block cache, tested by the same zero-test kernel with the
-    # same level split: inside fit_path it is the very array that the first
-    # level's screen tests at beta = 0 and that sets the KKT gate's scale
+    # inside fit_path, the array that the first level's screen tests
     grad = _block_cache(problem).xty
-    sup = float(np.abs(grad).max())
-    if sup == 0.0:
-        return 0.0
-    if alpha == 1.0:
-        return sup
 
-    def passes(lam: float) -> bool:
-        penalty = PenaltySpec((1.0 - alpha) * lam, alpha * lam)
-        return bool((_zero_test_excess(problem, grad, penalty) <= 0.0).all())
+    def excess(lam: float) -> np.ndarray:
+        return _zero_test_excess(problem, grad, PenaltySpec((1.0 - alpha) * lam, alpha * lam))
 
-    norms = _group_norms(problem, grad)
-    if alpha == 0.0:
-        # norm / w * w may round an ulp above the norm; step to the passing side
-        level = float((norms / problem.weights).max())
-        while not passes(level):
-            level = float(np.nextafter(level, np.inf))
-        return level
-    # per-block passing levels: a level large enough that either the shrunk
-    # vector vanishes or its norm is inside the group radius; doubled so the
-    # starting point passes with margin, not by an ulp
-    hi = 2.0 * float(np.minimum(
-        norms / ((1.0 - alpha) * problem.weights),
-        _group_norms(problem, grad, np.inf) / alpha,
-    ).max())
-    lo = 0.0
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lam = 0.0
+    gap = excess(lam)
+    while gap.max() > 0.0:
+        g = int(np.argmax(gap))
+        shrunk = _shrink(grad[problem.slices[g]], alpha * lam)
+        slope = alpha * float(np.abs(shrunk).sum()) / float(np.linalg.norm(shrunk))
+        slope += (1.0 - alpha) * float(problem.weights[g])
+        lam = max(lam + float(gap[g]) / slope, float(np.nextafter(lam, np.inf)))
+        gap = excess(lam)
+    while lam > 0.0 and excess(below := float(np.nextafter(lam, 0.0))).max() <= 0.0:
+        lam = below
+    return lam
 
 
 def fit_path(

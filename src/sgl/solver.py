@@ -515,12 +515,12 @@ def _screen(problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec) -> n
 
 def _newton_step(
     X_work: np.ndarray, res: np.ndarray, b: np.ndarray, groups: np.ndarray,
-    lam1w: np.ndarray, lam2: float, gram: np.ndarray | None = None,
+    lam1w: np.ndarray, lam2: float, gram: np.ndarray,
 ) -> np.ndarray | None:
     """One Newton step on the face of ``b``, the working set's coefficients,
     with ``X_work`` their columns, ``res`` the residual, ``groups`` their
     groups, ``lam1w`` every group's ``lambda1 * w`` and ``gram``
-    ``X_work'X_work`` (formed here when not given).
+    ``X_work'X_work``.
 
     On the face, the support S of ``b`` and its signs s, the criterion is
     smooth: with ``u_g = b_g / ||b_g||`` its gradient is
@@ -541,8 +541,6 @@ def _newton_step(
     """
     face = np.flatnonzero(b)
     b_S, g_S = b[face], groups[face]
-    if gram is None:
-        gram = X_work.T @ X_work
     with np.errstate(all="ignore"):
         norms = np.sqrt(np.bincount(g_S, weights=b_S * b_S))[g_S]
         c = lam1w[g_S] / norms
@@ -621,8 +619,7 @@ def fit(
     exactly zero. When the full step is not kept, the step is tried once
     more, stopped at the first coordinate whose sign it would flip, which
     is set to exactly 0 (see :func:`_first_zero`); up to there the
-    criterion is the face's. When neither is kept, that sign pattern is not
-    tried again until it changes. The steps slice ``X_S'X_S`` from one
+    criterion is the face's. The steps slice ``X_S'X_S`` from one
     Gram of the working set's columns, formed at the first step on them
     and kept while the working set holds.
 
@@ -695,34 +692,28 @@ def fit(
         with _sharing_block_cache(problem, cache):
             return kkt_residual(problem, beta, penalty)
 
-    def face_step(b_work: np.ndarray, key: bytes) -> None:
-        # the Newton step on the face of b_work, whose signs are key, then
-        # that step stopped at its first sign change; a face where neither
-        # is kept is not tried again until the signs change
-        nonlocal rejected_key
-        if key == rejected_key or not b_work.any():
+    def face_step(b_work: np.ndarray) -> None:
+        # the Newton step on the face of b_work, then that step stopped at
+        # its first sign change
+        if not b_work.any():
             return
         trial = _newton_step(
             work_set.X, res, b_work, col_groups[work_set.cols], group_lam1w, lam2, work_set.gram
         )
-        if trial is None or not (
-            keep_if_lower(trial)
-            or keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
-        ):
-            rejected_key = key
+        if trial is not None and not keep_if_lower(trial):
+            keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
 
     # the working set's columns; their Gram is formed for the first face
     # step on them and kept while the working set holds
     work_set = cache.working_set(work)
     history = [_objective_from_residual(problem, res, beta, penalty)]
-    # the working set's signs after the last sweep, and those of the last
-    # face whose step was rejected
-    signs_key = rejected_key = None
+    # the working set's signs after the last sweep
+    signs_key = None
     # the point of a trial kept since the last sweep, as (beta, residual)
     kept = None
     # a warm start carries the signs of a nearby optimum: step on its face
     # before the first sweep
-    face_step(beta[work_set.cols], np.sign(beta[work_set.cols]).tobytes())
+    face_step(beta[work_set.cols])
     converged = False
     max_delta = 0.0
     sweeps = 0
@@ -788,7 +779,7 @@ def fit(
         ):
             # never after the last sweep: a fit returns a sweep's output. A
             # face of n columns or more waits until its signs settle
-            face_step(b_work, signs_key)
+            face_step(b_work)
     if report is None:
         # no gate ran on the final beta
         report = report_kkt()

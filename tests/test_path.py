@@ -1,5 +1,7 @@
 """Penalty grids, the all-zero level locator, and warm-started path fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sgl import (
     fit,
     fit_path,
     lambda_max,
+    objective,
 )
 from sgl.sim import SimConfig, generate
 
@@ -47,10 +50,49 @@ def test_zero_response_gives_level_zero():
     assert lambda_max(prob, 0.5) == 0.0
 
 
+def _scaled(factor):
+    def make(rng):
+        X = rng.standard_normal((20, 9))
+        y = X @ (rng.standard_normal(9) * (rng.random(9) < 0.5)) + rng.standard_normal(20)
+        return build_problem(y, factor * X, [2, 3, 4])
+    return make
+
+
+def _with_column(edit):
+    def make(rng):
+        X = rng.standard_normal((20, 8))
+        edit(X)
+        return build_problem(rng.standard_normal(20) + X[:, 0], X, [2, 2, 4])
+    return make
+
+
+def _centered_away(X):
+    X[:, 3] = 2.5
+
+
+def _duplicated(X):
+    X[:, 1] = X[:, 0]
+
+
+# degenerate inputs for the level locator, each a maker of a problem from a
+# random generator
+LEVEL_INPUTS = {
+    "single group": lambda rng: random_problem(rng, 20, [5]),
+    "centered-away column": _with_column(_centered_away),
+    "duplicate columns": _with_column(_duplicated),
+    "unequal groups": lambda rng: random_problem(
+        rng, 80, [1, 3, 17, 40], weight_mode="sqrt-size"),
+    "n < p": lambda rng: random_problem(rng, 8, [4, 4, 4, 4, 4]),
+    "X times 1e100": _scaled(1e100),
+    "X times 1e-100": _scaled(1e-100),
+}
+
+
 def test_pure_one_norm_level_is_the_max_correlation():
     rng = np.random.default_rng(51)
-    prob = random_problem(rng, 20, [3, 3])
-    assert lambda_max(prob, 1.0) == float(np.abs(prob.X.T @ prob.y).max())
+    for make in [lambda rng: random_problem(rng, 20, [3, 3]), *LEVEL_INPUTS.values()]:
+        prob = make(rng)
+        assert lambda_max(prob, 1.0) == float(np.abs(prob.X.T @ prob.y).max())
 
 
 def test_pure_group_level_is_the_max_block_norm():
@@ -109,6 +151,25 @@ def test_level_boundary_is_exact_for_unequal_groups(alpha):
     assert at_level.kkt.worst_violation == 0.0
     below = fit(prob, _split(alpha, 0.999 * level))
     assert prob.active_groups(below.coefficients).any()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 0.95, 0.999, 1.0])
+@pytest.mark.parametrize("inputs", list(LEVEL_INPUTS))
+def test_level_is_the_smallest_float_that_passes_the_screen(inputs, alpha):
+    # fit's first screen, on the X'y it tests, passes at the level and
+    # fails one float below it, so a fit there is all-zero; no warning
+    # escapes on the way
+    prob = LEVEL_INPUTS[inputs](np.random.default_rng(57))
+    xty = prob.X.T @ prob.y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        level = lambda_max(prob, alpha)
+        at_level = fit(prob, _split(alpha, level))
+    below = float(np.nextafter(level, 0.0))
+    assert level > 0.0
+    assert not solver_module._screen(prob, xty, _split(alpha, level)).any()
+    assert solver_module._screen(prob, xty, _split(alpha, below)).any()
+    assert at_level.coefficients.n_nonzero == 0 and at_level.converged
 
 
 def test_level_rejects_bad_mixing():
@@ -208,6 +269,19 @@ def test_path_on_a_signal_free_response_raises():
     prob = build_problem(np.full(12, 2.0), rng.standard_normal((12, 4)), [2, 2])
     with pytest.raises(ValueError):
         fit_path(prob, PathSpec(n_points=4))
+
+
+def test_objective_reads_what_each_path_level_reported():
+    # objective() forms the residual by the formula fit forms it with, so
+    # `sgl check` prints the objective `sgl fit` reported, to the last bit;
+    # y - X b would read an ulp off on two of these 156 levels
+    opts = SolverOptions(outer_tol=1e-5)
+    for seed in [*range(100, 113), *range(700, 713)]:
+        data = generate(SimConfig(seed=seed))
+        prob = build_problem(data.y, data.X, data.config.blocks)
+        result = fit_path(prob, PathSpec(n_points=6, ratio_min=0.01, mixing=0.5), opts)
+        for point in result.points:
+            assert objective(prob, point.coefficients, point.penalty) == point.objective
 
 
 def test_path_lambdas_are_read_only():
