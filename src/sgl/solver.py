@@ -13,8 +13,12 @@ a warm start before the first sweep, a Newton step on the working set's
 sign face is tried (on a face of n columns or more, only once a sweep
 leaves every sign as the sweep before did), and when it does not lower
 the criterion, the same step stopped where it first zeroes a coordinate;
-either is kept only when it lowers the criterion. A fixed point of these
-rules is a global optimum of the convex criterion.
+either is kept only when it lowers the criterion. On a face of fewer than
+n columns, full steps that keep every sign follow one another, and a fit
+can stop at one that moves nothing by more than its tolerance, with no
+sweep after it, when that point passes a sweep's own tests: every zero
+group's zero test, every zero coordinate's entry test and the KKT gate.
+A fixed point of these rules is a global optimum of the convex criterion.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ _SECULAR_MAX_STEPS = 50
 # A block visit takes at most 7 active-set steps on the benchmark's paths;
 # this cap only guards against a defect
 _BLOCK_MAX_STEPS = 500
+# Full face steps in a row after a sweep, each from the last, number at most
+# 5 on the benchmark's paths; past this cap a sweep follows
+_FACE_STEPS = 10
 # Without a group term, a face direction whose curvature and pull are both
 # below this share of the face's scales is flat: both are rounding there
 _ROUNDING = 1e-12
@@ -122,18 +129,23 @@ class SolverOptions:
     A fit is declared converged when a sweep over its working set moves no
     coefficient by more than ``outer_tol``, a screen of every other group
     finds none failing the zero test, and the worst first-order violation
-    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep
-    moves nothing by more than ``1e-4 * outer_tol`` while that gate fails
-    stops there, reported as not converged. ``max_sweeps`` caps the
-    working-set sweeps. Blocks are solved exactly, so ``inner_tol`` is
-    validated but changes no result.
+    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. It is declared
+    converged too, with no sweep after it, at a face step that moves no
+    coefficient by more than ``outer_tol`` and keeps every sign, when at
+    its point every all-zero group passes the zero test, every zero
+    coordinate of a nonzero group has ``|X_j'r| <= lambda2``, and that
+    gate holds. A fit whose sweep moves nothing by more than
+    ``1e-4 * outer_tol`` while the gate fails stops there, reported as not
+    converged. ``max_sweeps`` caps the working-set sweeps, which are all
+    that ``FitResult.sweeps`` counts. Blocks are solved exactly, so
+    ``inner_tol`` is validated but changes no result.
 
     No option controls the face steps that :func:`fit` tries at a warm
     start and between sweeps. A point is kept only when its exact criterion
     is strictly below the one it would replace, and none is tried after the
-    last allowed sweep, so a fit always returns a sweep's output or, when
-    the sweep after a kept point cannot lower it, that point, with the
-    sweep's signs.
+    last allowed sweep, so a fit always returns a sweep's output or a
+    point with the sweep's signs: one the face steps after it reached, or,
+    when the sweep after a kept point cannot lower it, that point.
     """
 
     outer_tol: float = 1e-7
@@ -223,7 +235,11 @@ class _BlockCache:
 
     @cached_property
     def xty(self) -> np.ndarray:
-        xty = self.problem.X.T @ self.problem.y
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty = self.problem.X.T @ self.problem.y
+        if not np.isfinite(xty).all():
+            # X and y are finite, so only the products' scale can do this
+            raise ValueError("X'y overflows: rescale the response or the features")
         xty.setflags(write=False)
         return xty
 
@@ -623,6 +639,21 @@ def fit(
     Gram of the working set's columns, formed at the first step on them
     and kept while the working set holds.
 
+    On a face of fewer than n columns, full steps follow one another, each
+    from the last, while each is kept and keeps every sign, up to
+    ``_FACE_STEPS`` of them. When one keeps every sign and moves no
+    coefficient by more than ``outer_tol`` (kept or not: that close to the
+    face minimizer its point need not read lower), the fit runs a sweep's
+    stop tests at the point it holds, on one ``X'r``: every all-zero
+    group, in the working set too, must pass the zero test (those outside
+    that fail join the working set), every zero coordinate of a nonzero
+    group must pass the entry test ``|X_j'r| <= lambda2`` of
+    :func:`_block_minimize`, and the KKT gate must hold. Then the fit
+    stops there, converged, with that step's move as ``max_coef_delta``
+    and no sweep to confirm the point, which has the last sweep's signs
+    and exact zeros and where no sweep could bring in a group or a
+    coordinate; otherwise the sweeps go on. ``sweeps`` counts sweeps only.
+
     A trial is kept, with its residual and its objective as the sweep's
     history entry (the start's, at a warm start), only when that exact
     objective is strictly below the entry's; so a trial never raises the
@@ -643,12 +674,13 @@ def fit(
     ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
     working set's columns and their Gram, kept while the working set holds,
     and the last ``X'r`` it formed, with its residual. So a fit forms one
-    ``X'r`` per screen: one at a warm start and one at each stop screen,
-    whose last also serves the KKT report, which :func:`kkt_residual` makes
-    on the fit's cache. Each call makes a fresh cache, except inside
-    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
-    warm start takes the product of the level before's last screen; the
-    results are the same either way.
+    ``X'r`` per screen: one at a warm start and one at each stop screen or
+    face step's stop test, whose last also serves the KKT report, which
+    :func:`kkt_residual` makes on the fit's cache; a screen after a sweep
+    that moved nothing since the last one reuses its product. Each call
+    makes a fresh cache, except inside :func:`sgl.path.fit_path`, whose
+    levels share one, so that a level's warm start takes the product of
+    the level before's last screen; the results are the same either way.
     """
     opts = opts or SolverOptions()
     X = problem.X
@@ -692,16 +724,58 @@ def fit(
         with _sharing_block_cache(problem, cache):
             return kkt_residual(problem, beta, penalty)
 
-    def face_step(b_work: np.ndarray) -> None:
+    def face_step(b_work: np.ndarray) -> float | None:
         # the Newton step on the face of b_work, then that step stopped at
-        # its first sign change
+        # its first sign change. Returns the move of a full step that keeps
+        # every sign, when it is kept or moves nothing by more than
+        # outer_tol (below rounding, its point need not read lower)
         if not b_work.any():
-            return
+            return None
         trial = _newton_step(
             work_set.X, res, b_work, col_groups[work_set.cols], group_lam1w, lam2, work_set.gram
         )
-        if trial is not None and not keep_if_lower(trial):
+        if trial is None:
+            return None
+        full = keep_if_lower(trial)
+        if not full:
             keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
+        if not np.array_equal(np.sign(trial), np.sign(b_work)):
+            return None
+        move = float(np.abs(trial - b_work).max())
+        return move if full or move <= opts.outer_tol else None
+
+    def settle_face(b_work: np.ndarray) -> float | None:
+        # full face steps, each from the last, while they keep every sign;
+        # the move of the first that moves nothing by more than outer_tol,
+        # when the point the fit then holds passes a sweep's stop tests
+        for _ in range(_FACE_STEPS):
+            move = face_step(b_work)
+            if move is None:
+                return None
+            if move <= opts.outer_tol:
+                return move if certified() else None
+            b_work = beta[work_set.cols]
+        return None
+
+    def certified() -> bool:
+        # a sweep's own tests at the current point: every zero group passes
+        # the zero test (those outside the working set that fail join it),
+        # every zero coordinate of a nonzero group passes _block_minimize's
+        # entry test |X_j'r| <= lambda2, and the KKT gate holds
+        nonlocal work, work_set, report
+        xtr = cache.gradient(res)
+        nonzero = problem.active_groups(beta)
+        failing = _screen(problem, xtr, penalty) & ~nonzero
+        if (failing & ~work).any():
+            work |= failing
+            work_set = cache.working_set(work)
+        if failing.any():
+            return False
+        inside = np.repeat(nonzero, problem.group_sizes) & (beta == 0.0)
+        if (np.abs(xtr[inside]) > lam2).any():
+            return False
+        report = report_kkt()
+        return report.worst_violation <= kkt_gate
 
     # the working set's columns; their Gram is formed for the first face
     # step on them and kept while the working set holds
@@ -774,11 +848,14 @@ def fit(
             # a stalled fit stops too, but it has not converged
             if converged or max_delta <= 1e-4 * opts.outer_tol:
                 break
-        elif sweeps < opts.max_sweeps and (
-            np.count_nonzero(b_work) < problem.n or signs_key == previous
-        ):
-            # never after the last sweep: a fit returns a sweep's output. A
-            # face of n columns or more waits until its signs settle
+        elif sweeps < opts.max_sweeps and np.count_nonzero(b_work) < problem.n:
+            # never after the last sweep: a fit returns a sweep's output
+            move = settle_face(b_work)
+            if move is not None:
+                converged, max_delta = True, move
+                break
+        elif sweeps < opts.max_sweeps and signs_key == previous:
+            # a face of n columns or more waits until its signs settle
             face_step(b_work)
     if report is None:
         # no gate ran on the final beta

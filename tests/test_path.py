@@ -271,6 +271,25 @@ def test_path_on_a_signal_free_response_raises():
         fit_path(prob, PathSpec(n_points=4))
 
 
+def test_an_overflowing_x_ty_is_named_wherever_it_is_formed():
+    # every entry of X and y is finite, but X'y is not: lambda_max, a lone
+    # fit and a path raise one error that names the overflow, rather than
+    # a level of 0, an unconverged fit with a KKT of nan, or "no signal"
+    rng = np.random.default_rng(63)
+    X = rng.standard_normal((30, 6))
+    y = X @ rng.standard_normal(6) + rng.standard_normal(30)
+    prob = build_problem(1e160 * y, 1e160 * X, [3, 3])
+    for call in (
+        lambda: lambda_max(prob, 0.5),
+        lambda: fit(prob, PenaltySpec(1.0, 1.0)),
+        lambda: fit_path(prob, PathSpec(n_points=4)),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="X'y overflows"):
+                call()
+
+
 def test_objective_reads_what_each_path_level_reported():
     # objective() forms the residual by the formula fit forms it with, so
     # `sgl check` prints the objective `sgl fit` reported, to the last bit;
@@ -336,9 +355,11 @@ def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
 
 
 def test_a_path_forms_one_gradient_per_screen(monkeypatch):
-    # X'r is formed once per screen: a level's warm start takes the product
-    # of the level before's last screen, and a converged level's KKT report
-    # takes its own last screen's; neither forms one
+    # X'r is formed at most once per residual: a level's warm start takes
+    # the product of the level before's last screen, a converged level's
+    # KKT report takes its own last screen's, and a screen after a sweep
+    # that moved nothing since the last one (a face step's point that
+    # failed a sweep's stop tests, say) takes that one's
     calls, in_kkt = [], []
     gradient, kkt, fit_level = (
         solver_module._BlockCache.gradient, solver_module.kkt_residual, path_module.fit
@@ -348,7 +369,7 @@ def test_a_path_forms_one_gradient_per_screen(monkeypatch):
         before = cache._xtr
         out = gradient(cache, res)
         formed = out is not before and out is not cache.xty
-        calls[-1].append(("kkt" if in_kkt else "screen", formed))
+        calls[-1].append(("kkt" if in_kkt else "screen", formed, res.tobytes()))
         return out
 
     def counted_fit(*args, **kwargs):
@@ -365,19 +386,26 @@ def test_a_path_forms_one_gradient_per_screen(monkeypatch):
     monkeypatch.setattr(solver_module._BlockCache, "gradient", counted_gradient)
     monkeypatch.setattr(solver_module, "kkt_residual", counted_kkt)
     monkeypatch.setattr(path_module, "fit", counted_fit)
+    prob = _small_wide_problem()
     result = fit_path(
-        _small_wide_problem(), PathSpec(n_points=8, ratio_min=0.01, mixing=0.5),
-        SolverOptions(outer_tol=1e-5),
+        prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), SolverOptions(outer_tol=1e-5)
     )
     assert all(pt.converged for pt in result.points)
     assert len(calls) == 8
     # the first level, at lambda_max, screens the cached X'y throughout
-    assert [formed for _, formed in calls[0]] == [False] * len(calls[0])
+    assert not any(formed for _, formed, _ in calls[0])
     for level in calls[1:]:
-        start, *stops, report = level
-        assert start == ("screen", False)
-        assert report == ("kkt", False)
-        assert stops and all(kind == "screen" and formed for kind, formed in stops)
+        (kind, formed, _), *stops, report = level
+        assert (kind, formed) == ("screen", False)
+        assert report[:2] == ("kkt", False)
+        assert any(kind == "screen" and formed for kind, formed, _ in stops)
+    # a product is formed exactly when the residual is new, and no
+    # residual's product is formed twice
+    seen = [prob.y.tobytes()]
+    for _, formed, key in [call for level in calls for call in level]:
+        assert formed == (key != seen[-1] and key != prob.y.tobytes())
+        assert not formed or key not in seen
+        seen.append(key)
 
 
 def test_a_remembered_gradient_is_never_stale():

@@ -2,6 +2,7 @@
 first-order optimality reporting."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -495,14 +496,15 @@ def _paper_path_sweeps():
 
 
 def test_face_steps_save_sweeps_on_benchmark_paths():
-    # five paper draws take 84 sweeps with a face step after every moving
-    # sweep and one at each warm start, against 493 with block sweeps
-    # alone and 167 with a step only on a face whose signs have settled.
-    # Without the warm-start step they take 100, and with steps only on
-    # settled faces but at warm starts 142, so a change that loses either
-    # fails here
+    # five paper draws take 52 sweeps with face steps after every moving
+    # sweep, one at each warm start, and a level ending at a converged face
+    # step that passes a sweep's stop tests. They take 84 when every level
+    # ends with a sweep that confirms its point, 70 without the warm-start
+    # step, 493 with block sweeps alone and 167 with a step only on a face
+    # whose signs have settled, so a change that loses any of these fails
+    # here
     settled_sweeps = 167
-    assert _paper_path_sweeps() < 0.55 * settled_sweeps
+    assert _paper_path_sweeps() < 0.35 * settled_sweeps
 
 
 # ------------------------------------------------------- block prox, unit step
@@ -614,16 +616,12 @@ def test_fit_objective_never_increases_between_sweeps(monkeypatch):
 
 
 def test_fit_goes_back_to_a_kept_point_the_next_sweep_cannot_lower(monkeypatch):
-    # on this paper draw the last face step lands at the optimum, and the
-    # sweep after it moves nothing beyond outer_tol, keeps every sign and
-    # reads one ulp above it: the fit returns the step's point and its
-    # objective, and that sweep's history entry repeats the step's. The
-    # event hangs on the last bits of the level, so the level is pinned:
-    # 0.01 times the draw's lambda_max as a bisection to 1e-10 relative
-    # width placed it, 1.6e-12 above the exact one, where it does not occur
-    data = generate(SimConfig(seed=117))
-    prob = build_problem(data.y, data.X, data.config.blocks)
-    lam = 0.01 * 516.1262478461995
+    # on this draw of the creep generator the last face step lands at the
+    # optimum, and the sweep after it moves nothing beyond outer_tol, keeps
+    # every sign and reads above it: the fit returns the step's point and
+    # its objective, and that sweep's history entry repeats the step's
+    prob = _creep_problem(20)
+    lam = 1e-4 * lambda_max(prob, 0.5)
     pen = PenaltySpec(0.5 * lam, 0.5 * lam)
     events = []
     newton, evaluate = solver_module._newton_step, solver_module._objective_from_residual
@@ -639,7 +637,7 @@ def test_fit_goes_back_to_a_kept_point_the_next_sweep_cannot_lower(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_newton_step", step)
     monkeypatch.setattr(solver_module, "_objective_from_residual", evaluated)
-    result = fit(prob, pen)
+    result = fit(prob, pen, SolverOptions(outer_tol=1e-9))
     assert result.converged
     last = len(events) - 1 - events[::-1].index("step")
     trial, trial_obj = events[last + 1]
@@ -859,6 +857,76 @@ def test_a_face_step_keeps_every_zero_at_zero(monkeypatch):
     assert inside > 0
 
 
+def _ends_at_a_face_step(events):
+    # the last block visit or face step of a traced fit is a face step
+    return [e for e in events if isinstance(e, str)][-1:] == ["step"]
+
+
+def test_a_fit_that_ends_at_a_face_step_passes_a_sweeps_stop_tests(monkeypatch):
+    # after a moving sweep, full face steps follow one another while they
+    # keep every sign; when one moves nothing by more than outer_tol, the
+    # fit stops there, with no sweep after it, if every zero group passes
+    # its zero test, every zero coordinate of a nonzero group passes the
+    # block minimizer's entry test |X_j'r| <= lambda2 and the KKT gate
+    # holds. All three are recomputed here from X'(y - X beta): along
+    # warm-started paths on two paper draws at each mixing endpoint and
+    # between them, and in lone fits on three small draws where a group
+    # that the last sweep left at zero inside the working set fails its
+    # zero test at a converged step's point, so those fits must sweep on
+    opts = SolverOptions(outer_tol=1e-5)
+    works = []
+    working_set = solver_module._BlockCache.working_set
+
+    def recorded(cache, work):
+        works.append(work.copy())
+        return working_set(cache, work)
+
+    monkeypatch.setattr(solver_module._BlockCache, "working_set", recorded)
+    ended = dict.fromkeys((0.0, 0.5, 1.0), 0)
+    zero_in_work = 0
+
+    def fit_and_check(prob, mixing, lam, warm=None):
+        nonlocal zero_in_work
+        pen = PenaltySpec((1.0 - mixing) * lam, mixing * lam)
+        result, events = _traced_fit(monkeypatch, prob, pen, opts, warm)
+        if not _ends_at_a_face_step(events):
+            return result.coefficients
+        ended[mixing] += 1
+        scale = max(1.0, float(np.abs(prob.X.T @ prob.y).max()))
+        slack = 1e-12 * scale
+        beta = result.coefficients.beta
+        grad = prob.X.T @ (prob.y - prob.X @ beta)
+        nonzero = prob.active_groups(beta)
+        for ell, (sl, w) in enumerate(zip(prob.slices, prob.weights)):
+            g = grad[sl]
+            if nonzero[ell]:
+                assert np.all(np.abs(g[beta[sl] == 0.0]) <= pen.lambda2 + slack)
+            else:
+                shrunk = np.sign(g) * np.maximum(np.abs(g) - pen.lambda2, 0.0)
+                assert np.linalg.norm(shrunk) <= pen.lambda1 * w + slack
+        worst = kkt_reference(prob.y, prob.X, beta, prob.group_sizes, prob.weights,
+                              pen.lambda1, pen.lambda2)[3]
+        assert worst <= 5.0 * opts.outer_tol * scale
+        assert result.converged and result.max_coef_delta <= opts.outer_tol
+        ref = fit_oracle(prob, pen)
+        assert abs(result.objective - ref.objective) <= 1e-8 * (1.0 + abs(result.objective))
+        # the last working set the fit swept holds an all-zero group
+        zero_in_work += int((works[-1] & ~nonzero).any())
+        return result.coefficients
+
+    for seed in (700, 703):
+        data = generate(SimConfig(seed=seed))
+        prob = build_problem(data.y, data.X, data.config.blocks)
+        for mixing in ended:
+            warm = None
+            for lam in lambda_max(prob, mixing) * 0.01 ** np.linspace(0.0, 1.0, 6):
+                warm = fit_and_check(prob, mixing, lam, warm)
+    for seed, mixing, ratio in ((1276, 0.0, 0.2), (1771, 0.5, 0.05), (96, 1.0, 0.2)):
+        prob = random_problem(np.random.default_rng(seed), 20, [3] * 6)
+        fit_and_check(prob, mixing, ratio * lambda_max(prob, mixing))
+    assert all(ended.values()) and zero_in_work > 0
+
+
 def test_a_face_step_on_a_rank_deficient_face_raises_no_warning(monkeypatch):
     # duplicate columns inside an active group, n < p and no group term
     # (mixing 1): the face's Hessian X_S'X_S is singular. On faces of n
@@ -1029,17 +1097,16 @@ def test_fit_reports_nonconvergence_at_the_sweep_cap(monkeypatch):
     assert result.sweeps == 1
     assert result.objective_history.size == 2
     assert np.isfinite(result.objective)
-    # a face step follows each of these sweeps, every one of which moves a
+    # face steps follow each of these sweeps, every one of which moves a
     # coefficient; but the last sweep allowed tries none, and the fit
     # returns that sweep's output
-    steps = []
-    newton = solver_module._newton_step
-    monkeypatch.setattr(solver_module, "_newton_step", lambda *args: steps.append(args) or newton(*args))
     for last in (3, 4):
-        steps.clear()
-        capped = fit(prob, pen, SolverOptions(outer_tol=1e-14, max_sweeps=last))
+        opts = SolverOptions(outer_tol=1e-14, max_sweeps=last)
+        capped, events = _traced_fit(monkeypatch, prob, pen, opts)
         assert capped.sweeps == last and not capped.converged
-        assert len(steps) == last - 1
+        marks = "".join(e[0] for e in events if isinstance(e, str))
+        assert re.fullmatch(f"v+(s+v+){{{last - 1}}}", marks), marks
+        assert np.array_equal(capped.coefficients.beta, events[-1][0])
 
 
 def test_fit_convergence_honors_the_tolerance():
