@@ -93,15 +93,20 @@ class GroupedProblem:
             raise ValueError("group weights must be positive and finite")
         if not np.isfinite(y).all() or not np.isfinite(X).all():
             raise ValueError("non-finite values in y or X")
-        if abs(float(y.mean())) > 1e-12 * max(1.0, float(np.abs(y).max())):
-            raise ValueError("response is not centered")
-        col_scale = np.maximum(1.0, np.abs(X).max(axis=0))
-        if (np.abs(X.mean(axis=0)) > 1e-12 * col_scale).any():
-            raise ValueError("feature columns are not centered")
+        y_mean = float(self.y_mean)
         x_means = self.x_means
         x_means = np.zeros(p) if x_means is None else np.array(x_means, dtype=float)
         if x_means.shape != (p,):
             raise ValueError("x_means must have one entry per column")
+        if not (math.isfinite(y_mean) and np.isfinite(x_means).all()):
+            raise ValueError("non-finite y_mean or x_means")
+        # centering leaves a mean of the order of the rounding of the mean it
+        # subtracted, so that mean's magnitude scales the bound too
+        if abs(float(y.mean())) > 1e-12 * max(1.0, float(np.abs(y).max()), abs(y_mean)):
+            raise ValueError("response is not centered")
+        col_scale = np.maximum(np.maximum(1.0, np.abs(X).max(axis=0)), np.abs(x_means))
+        if (np.abs(X.mean(axis=0)) > 1e-12 * col_scale).any():
+            raise ValueError("feature columns are not centered")
         ends = np.cumsum(sizes)
         slices = tuple(slice(int(e - s), int(e)) for s, e in zip(sizes, ends))
         starts = _frozen(ends - sizes)
@@ -109,7 +114,7 @@ class GroupedProblem:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "y_mean", float(self.y_mean))
+        object.__setattr__(self, "y_mean", y_mean)
         object.__setattr__(self, "x_means", _frozen(x_means))
         object.__setattr__(self, "_slices", slices)
         object.__setattr__(self, "_starts", starts)
@@ -238,11 +243,12 @@ def _objective_from_residual(
 ) -> float:
     # fsum keeps sweep-over-sweep objective comparisons meaningful at 1e-12
     # scale; it sums exactly, so the exact zeros of the penalty terms, most
-    # of them on a sparse fit, are left out without changing a bit
-    rss = math.fsum((residual * residual).tolist())
+    # of them on a sparse fit, are left out without changing a bit, and it
+    # reads the floats through a memoryview with no list built
+    rss = math.fsum(memoryview(residual * residual))
     group_terms = problem.weights * _group_norms(problem, beta)
-    group_term = math.fsum(group_terms[group_terms != 0.0].tolist())
-    l1 = math.fsum(np.abs(beta[beta != 0.0]).tolist())
+    group_term = math.fsum(memoryview(group_terms[group_terms != 0.0]))
+    l1 = math.fsum(memoryview(np.abs(beta[beta != 0.0])))
     return 0.5 * rss + penalty.lambda1 * group_term + penalty.lambda2 * l1
 
 

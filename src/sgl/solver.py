@@ -49,18 +49,21 @@ __all__ = [
 ]
 
 # The secular equation of a face solve takes at most 5 evaluations on the
-# benchmark's paths; a solve that reaches the cap fails, and the block
-# restarts from the origin step
+# benchmark's paths (paper draws 100-112 and 700-712, wide draws
+# 1300-1311); a solve that reaches the cap fails, and the block restarts
+# from the origin step
 _SECULAR_MAX_STEPS = 50
-# A block visit takes at most 7 active-set steps on the benchmark's paths;
-# this cap only guards against a defect
+# A block visit takes at most 8 active-set steps on those paths; this cap
+# only guards against a defect
 _BLOCK_MAX_STEPS = 500
-# Full face steps in a row after a sweep, each from the last, number at most
-# 5 on the benchmark's paths; past this cap a sweep follows
+# Face steps in a row after a sweep, each from the last, number at most 5
+# on those paths; past this cap a sweep follows
 _FACE_STEPS = 10
 # Without a group term, a face direction whose curvature and pull are both
 # below this share of the face's scales is flat: both are rounding there
 _ROUNDING = 1e-12
+# the start of the one segment that _block_prox sums, as _group_norms does
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 def soft_threshold(z, lam):
@@ -88,7 +91,7 @@ def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
     group's segment, so on the same vector the two decide alike.
     """
     g = _shrink(a, lam2)
-    gnorm = float(np.sqrt(np.add.reduceat(g * g, [0])[0]))
+    gnorm = float(np.sqrt(np.add.reduceat(g * g, _ONE_SEGMENT)[0]))
     if gnorm <= lam1w:
         return np.zeros_like(g)
     # gnorm - lam1w is exact near the boundary (Sterbenz), so the factor
@@ -187,16 +190,31 @@ class _FaceSlot:
 class _Columns:
     """The columns of the groups of a mask, whose bytes are ``key``: their
     indices ``cols``, ``X`` itself when that is every column and a copy of
-    them otherwise, and, formed on first use, their Gram ``X'X``."""
+    them otherwise, and, formed on first use, the group of each column,
+    read from ``col_groups``, the problem's column-to-group map, and their
+    Gram ``X'X``."""
 
-    def __init__(self, problem: GroupedProblem, groups: np.ndarray):
+    def __init__(self, problem: GroupedProblem, groups: np.ndarray, col_groups: np.ndarray):
         self.key = groups.tobytes()
         self.cols = np.flatnonzero(np.repeat(groups, problem.group_sizes))
         self.X = problem.X if self.cols.size == problem.p else problem.X[:, self.cols]
+        self._col_groups = col_groups
+        self._n_groups = problem.n_groups
+
+    @cached_property
+    def groups(self) -> np.ndarray:
+        return self._col_groups[self.cols]
 
     @cached_property
     def gram(self) -> np.ndarray:
         return self.X.T @ self.X
+
+    def holding(self, b: np.ndarray) -> np.ndarray:
+        """Mask of every group of the problem, true at the groups where
+        ``b``, coefficients of these columns, holds a nonzero."""
+        mask = np.zeros(self._n_groups, dtype=bool)
+        mask[self.groups[b != 0.0]] = True
+        return mask
 
 
 class _BlockCache:
@@ -204,10 +222,12 @@ class _BlockCache:
     block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
     visit, so groups that never enter cost nothing; ``X'y``, which sets
     the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
-    :func:`sgl.path.lambda_max`, the path's first level; the last ``X'r``
-    that :meth:`gradient` formed, with its residual; and the
-    :class:`_Columns` of the last residual's groups and of the last working
-    set.
+    :func:`sgl.path.lambda_max`, the path's first level; the last residual
+    that :meth:`residual` formed, with its coefficients; the last ``X'r``
+    that :meth:`gradient` formed, with its residual, and its zero-test
+    excess under the last penalty asked of :meth:`excess`; the
+    column-to-group map; and the :class:`_Columns` of the last residual's
+    groups and of the last working set.
 
     A block holds its Gram and at most one decomposition of a principal
     submatrix of it, so the blocks hold at most about twice the Grams' sum
@@ -218,9 +238,14 @@ class _BlockCache:
     def __init__(self, problem: GroupedProblem):
         self.problem = problem
         self._blocks: list[tuple[np.ndarray, _FaceSlot] | None] = [None] * problem.n_groups
+        # the bytes of the last coefficients asked of residual, and their residual
+        self._beta_key: bytes | None = None
+        self._res: np.ndarray | None = None
         # the bytes of the last residual asked of gradient, and its X'r
         self._res_key: bytes | None = None
         self._xtr: np.ndarray | None = None
+        # (X'r, penalty levels, zero-test excess) of the last excess asked
+        self._excess: tuple | None = None
         # the columns of the last residual's groups and of the last working set
         self._support: _Columns | None = None
         self._work: _Columns | None = None
@@ -243,11 +268,15 @@ class _BlockCache:
         xty.setflags(write=False)
         return xty
 
+    @cached_property
+    def col_groups(self) -> np.ndarray:
+        return np.repeat(np.arange(self.problem.n_groups), self.problem.group_sizes)
+
     def _columns(self, held: _Columns | None, groups: np.ndarray) -> _Columns:
         # held when it is the columns of the groups of mask groups
         if held is not None and held.key == groups.tobytes():
             return held
-        return _Columns(self.problem, groups)
+        return _Columns(self.problem, groups, self.col_groups)
 
     def working_set(self, work: np.ndarray) -> _Columns:
         """The columns of the groups of mask ``work`` and their Gram, kept
@@ -258,7 +287,7 @@ class _BlockCache:
     def residual(self, beta: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
         """``y - X_A beta_A``, with A the columns of the groups of ``beta``
         that hold a nonzero (``active``, their mask, when the caller knows
-        it).
+        it), as a fresh array.
 
         Every residual of a fit and of :func:`kkt_residual` is formed here,
         so the same ``beta`` gives the same bits wherever it is formed, and
@@ -266,12 +295,18 @@ class _BlockCache:
         is nonzero the product is with ``X`` as it is; otherwise with a copy
         of the columns of A (none when ``beta`` is zero: then the residual
         has the bits of ``y``), kept while the next residual's groups are
-        the same.
+        the same. The last residual is kept with the bytes of its ``beta``,
+        so asking again for the same coefficients, as a fit's KKT report and
+        the next level's warm start do, forms no product; each call returns
+        its own copy, which the caller may change in place.
         """
-        if active is None:
-            active = _group_norms(self.problem, beta, np.inf) != 0.0
-        support = self._support = self._columns(self._support, active)
-        return self.problem.y - support.X @ beta[support.cols]
+        key = beta.tobytes()
+        if key != self._beta_key:
+            if active is None:
+                active = _group_norms(self.problem, beta, np.inf) != 0.0
+            support = self._support = self._columns(self._support, active)
+            self._beta_key, self._res = key, self.problem.y - support.X @ beta[support.cols]
+        return self._res.copy()
 
     def gradient(self, res: np.ndarray) -> np.ndarray:
         """``X'res``, read-only, formed only when ``res`` is not bit for bit
@@ -295,6 +330,20 @@ class _BlockCache:
                 xtr.setflags(write=False)
             self._res_key, self._xtr = key, xtr
         return self._xtr
+
+    def excess(self, xtr: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
+        """:func:`_zero_test_excess` of ``xtr`` under ``penalty``, kept,
+        read-only, when ``xtr`` is the last product of :meth:`gradient`,
+        so that a fit's stop screen and its KKT report share one."""
+        levels = (penalty.lambda1, penalty.lambda2)
+        held = self._excess
+        if held is not None and held[0] is xtr and held[1] == levels:
+            return held[2]
+        excess = _zero_test_excess(self.problem, xtr, penalty)
+        if xtr is self._xtr:
+            excess.setflags(write=False)
+            self._excess = (xtr, levels, excess)
+        return excess
 
     @cached_property
     def gate_scale(self) -> float:
@@ -397,11 +446,13 @@ def _solve_on_support(
     a = a0[support]
     w = V.T @ (a - lam2 * s)
     out = np.zeros_like(theta)
+    # eigh's mu ascends, so G_SS has a null direction only when mu[0] is 0
+    singular = mu[0] == 0.0
     if lam1w == 0.0:
         rounding = _ROUNDING * float(np.linalg.norm(np.abs(a) + lam2))
         flat = (mu <= _ROUNDING * mu[-1]) & (np.abs(w) <= rounding)
-        null = (mu == 0.0) & ~flat
-        if not null.any():
+        null = (mu == 0.0) & ~flat if singular else None
+        if null is None or not null.any():
             out[support] = V[:, ~flat] @ (w[~flat] / mu[~flat])
             return out
     else:
@@ -411,8 +462,9 @@ def _solve_on_support(
         # infinity; a root needs the first above lam1w^2 and the second below
         if sum(q for _, q in pairs) <= target:
             return out
-        null = mu == 0.0
-    if lam1w == 0.0 or sum(q for m, q in pairs if m == 0.0) >= target:
+        heavy = sum(q for m, q in pairs if m == 0.0) if singular else 0.0
+        null = mu == 0.0 if heavy >= target else None
+    if null is not None:
         stop = _first_zero(theta[support], V[:, null] @ w[null], s)
         if stop is None:
             return None
@@ -522,11 +574,16 @@ def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
     return lam1w * math.hypot(*t) + lam2 * sum(map(abs, t))
 
 
-def _screen(problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
+def _screen(
+    problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec,
+    cache: _BlockCache | None = None,
+) -> np.ndarray:
     """Mask of the groups failing the exact zero test at ``xtr = X'r``, all
-    groups at once. Only meaningful for zero blocks, whose partial residual
-    is ``r`` itself."""
-    return _zero_test_excess(problem, xtr, penalty) > 0.0
+    groups at once, with the excess that ``cache`` keeps when one is given.
+    Only meaningful for zero blocks, whose partial residual is ``r``
+    itself."""
+    excess = _zero_test_excess(problem, xtr, penalty) if cache is None else cache.excess(xtr, penalty)
+    return excess > 0.0
 
 
 def _newton_step(
@@ -561,7 +618,11 @@ def _newton_step(
         norms = np.sqrt(np.bincount(g_S, weights=b_S * b_S))[g_S]
         c = lam1w[g_S] / norms
         u = b_S / norms
-        hess = gram[np.ix_(face, face)] + np.diag(c) - (g_S[:, None] == g_S) * np.outer(c * u, u)
+        # X_S'X_S + diag(c), then less each group's c u u' on its own block,
+        # assembled in place
+        hess = gram.take(face, axis=0).take(face, axis=1)
+        hess.flat[:: face.size + 1] += c
+        np.subtract(hess, np.outer(c * u, u), out=hess, where=g_S[:, None] == g_S)
         grad = c * b_S + lam2 * np.sign(b_S) - (res @ X_work)[face]
         stop = None
         if face.size < len(res):
@@ -673,14 +734,16 @@ def fit(
     solve, reused while that support holds, ``X'y`` for the gate's scale
     ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
     working set's columns and their Gram, kept while the working set holds,
-    and the last ``X'r`` it formed, with its residual. So a fit forms one
-    ``X'r`` per screen: one at a warm start and one at each stop screen or
-    face step's stop test, whose last also serves the KKT report, which
-    :func:`kkt_residual` makes on the fit's cache; a screen after a sweep
-    that moved nothing since the last one reuses its product. Each call
-    makes a fresh cache, except inside :func:`sgl.path.fit_path`, whose
-    levels share one, so that a level's warm start takes the product of
-    the level before's last screen; the results are the same either way.
+    and the last residual, ``X'r`` and zero-test excess it formed, each
+    with what it was formed from. So a fit forms one ``X'r`` per screen:
+    one at a warm start and one at each stop screen or face step's stop
+    test, whose last, with its residual and excess, also serves the KKT
+    report, which :func:`kkt_residual` makes on the fit's cache; a screen
+    after a sweep that moved nothing since the last one reuses its
+    product. Each call makes a fresh cache, except inside
+    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
+    warm start takes the residual and product of the level before's last
+    screen; the results are the same either way.
     """
     opts = opts or SolverOptions()
     X = problem.X
@@ -694,12 +757,13 @@ def fit(
     cache = _block_cache(problem)
     kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
 
-    active = problem.active_groups(beta)
+    active = _group_norms(problem, beta, np.inf) != 0.0
     res = cache.residual(beta, active)
-    work = active | _screen(problem, cache.gradient(res), penalty)
+    work = active | _screen(problem, cache.gradient(res), penalty, cache)
 
-    col_groups = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
     group_lam1w = lam1 * problem.weights
+    # the same products as Python floats, for the sweep's block visits
+    block_lam1w = group_lam1w.tolist()
 
     def keep_if_lower(trial: np.ndarray | None) -> bool:
         # keep a trial of the working set's coefficients only when its exact
@@ -710,7 +774,7 @@ def fit(
         trial_beta = np.zeros(p)
         trial_beta[work_set.cols] = trial
         with np.errstate(all="ignore"):
-            trial_res = cache.residual(trial_beta)
+            trial_res = cache.residual(trial_beta, work_set.holding(trial))
             trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
         if not trial_obj < history[-1]:
             return False
@@ -732,7 +796,7 @@ def fit(
         if not b_work.any():
             return None
         trial = _newton_step(
-            work_set.X, res, b_work, col_groups[work_set.cols], group_lam1w, lam2, work_set.gram
+            work_set.X, res, b_work, work_set.groups, group_lam1w, lam2, work_set.gram
         )
         if trial is None:
             return None
@@ -764,8 +828,8 @@ def fit(
         # entry test |X_j'r| <= lambda2, and the KKT gate holds
         nonlocal work, work_set, report
         xtr = cache.gradient(res)
-        nonzero = problem.active_groups(beta)
-        failing = _screen(problem, xtr, penalty) & ~nonzero
+        nonzero = work_set.holding(beta[work_set.cols])
+        failing = _screen(problem, xtr, penalty, cache) & ~nonzero
         if (failing & ~work).any():
             work |= failing
             work_set = cache.working_set(work)
@@ -801,12 +865,13 @@ def fit(
             bl = beta[sl]
             # the block gradient against the block's partial residual
             a = Z.T @ res
-            if bl.any():
-                a += cache.block(ell)[0] @ bl
-            lam1w = lam1 * float(problem.weights[ell])
+            block = cache.block(ell) if bl.any() else None
+            if block is not None:
+                a += block[0] @ bl
+            lam1w = block_lam1w[ell]
             new_bl = _block_prox(a, lam1w, lam2)
             if new_bl.any():
-                gram, slot = cache.block(ell)
+                gram, slot = block or cache.block(ell)
                 new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, slot)
             d = new_bl - bl
             if d.any():
@@ -823,7 +888,7 @@ def fit(
                     beta[sl] = new_bl
                     res -= Zd
         b_work = beta[work_set.cols]
-        res = cache.residual(beta)
+        res = cache.residual(beta, work_set.holding(b_work))
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if (
             kept is not None and max_delta <= opts.outer_tol and history[-1] > history[-2]
@@ -838,7 +903,7 @@ def fit(
         kept = None
         previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
-            entering = _screen(problem, cache.gradient(res), penalty) & ~work
+            entering = _screen(problem, cache.gradient(res), penalty, cache) & ~work
             if entering.any():
                 work |= entering
                 work_set = cache.working_set(work)
@@ -887,7 +952,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     The gradient is ``X'r`` at the residual that :func:`fit` forms for
     ``beta``, taken from the problem's shared :class:`_BlockCache` when one
     is set: inside a fit or a path, a report on the coefficients of the last
-    screen forms no product of its own.
+    screen forms no residual, product or zero-test excess of its own.
     """
     b = problem.coefficients(beta).beta
     peaks = _group_norms(problem, b, np.inf)
@@ -899,7 +964,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     # zero blocks: the soft-thresholded gradient against the group radius
     stat = grad
     if lam1 > 0.0:
-        outside = np.maximum(_zero_test_excess(problem, grad, penalty), 0.0)
+        outside = np.maximum(cache.excess(grad, penalty), 0.0)
         # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||,
         # with b_g first scaled by its largest magnitude so that a norm whose
         # square underflows still divides

@@ -138,6 +138,20 @@ def test_fit_huge_penalty_gives_all_zeros(sim_dir, tmp_path):
     assert values == [0.0] * 100
 
 
+def test_fit_accepts_a_response_with_a_large_offset(tmp_path):
+    # a response near 1e6: centering leaves a residue of its mean's rounding
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((30, 4))
+    y = 1e6 + X @ [2.0, -1.0, 0.0, 0.0] + rng.standard_normal(30)
+    data, groups = tmp_path / "data.csv", tmp_path / "groups.csv"
+    np.savetxt(data, np.column_stack([y, X]), delimiter=",", header="y,a,b,c,d",
+               comments="", fmt="%.17g")
+    groups.write_text("column,group\na,g1\nb,g1\nc,g2\nd,g2\n")
+    code = run(["fit", "--data", str(data), "--groups", str(groups), "--lambda1", "1.0",
+                "--lambda2", "1.0", "--out", str(tmp_path / "fit")])
+    assert code == 0
+
+
 def test_fit_nonconvergence_exits_2_but_writes(sim_dir, tmp_path):
     out = tmp_path / "fit"
     code = run([

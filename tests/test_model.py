@@ -107,6 +107,37 @@ def test_grouped_problem_rejects_uncentered_or_bad_weights():
         GroupedProblem(y=y, X=X, group_sizes=[1], weights=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("n", range(5, 40))
+def test_large_offsets_and_constant_columns_are_centered(n):
+    # centering subtracts a mean near 1e6 (or 1e4) and leaves a residue of
+    # that mean's rounding, which the check must not take for an offset
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 3))
+    X[:, 1] = 10000.1
+    y = 1e6 + rng.standard_normal(n)
+    prob = build_problem(y, X, [3])
+    assert prob.y_mean == float(np.mean(y))
+    assert np.abs(prob.X[:, 1]).max() <= 1e-11
+
+
+def test_grouped_problem_rejects_uncentered_data_whatever_its_means():
+    # the subtracted means widen the bound only to their own rounding
+    rng = np.random.default_rng(5)
+    y = 1e6 + rng.standard_normal(30)
+    X = rng.standard_normal((30, 2)) + 10000.1
+    with pytest.raises(ValueError, match="response is not centered"):
+        GroupedProblem(y=y, X=X - X.mean(axis=0), group_sizes=[2], weights=[1.0])
+    with pytest.raises(ValueError, match="response is not centered"):
+        GroupedProblem(y=y - 1.0, X=X - X.mean(axis=0), group_sizes=[2], weights=[1.0],
+                       y_mean=1e6)
+    with pytest.raises(ValueError, match="feature columns are not centered"):
+        GroupedProblem(y=y - y.mean(), X=X, group_sizes=[2], weights=[1.0],
+                       y_mean=y.mean(), x_means=X.mean(axis=0))
+    with pytest.raises(ValueError, match="non-finite y_mean"):
+        GroupedProblem(y=y - y.mean(), X=X - X.mean(axis=0), group_sizes=[2],
+                       weights=[1.0], y_mean=np.inf)
+
+
 def test_problem_arrays_are_read_only():
     prob = build_problem([1.0, 3.0], [[1.0], [3.0]], [1])
     with pytest.raises(ValueError):

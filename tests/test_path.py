@@ -431,6 +431,72 @@ def test_a_remembered_gradient_is_never_stale():
     assert cache.gradient(zero) is not cache.gradient(-zero)
 
 
+def test_a_remembered_residual_survives_changes_to_its_copies():
+    # a sweep updates its residual in place (res -= Zd); the cache's own
+    # residual for those coefficients, and the X'r keyed to it, must not move
+    prob = _small_wide_problem()
+    cache = solver_module._BlockCache(prob)
+    beta = np.zeros(prob.p)
+    beta[:7] = np.linspace(-1.0, 1.0, 7)
+    res = cache.residual(beta)
+    xtr = cache.gradient(res)
+    kept_res, kept_xtr = res.tobytes(), xtr.tobytes()
+    res -= prob.X[:, 3] * 0.5
+    again = cache.residual(beta)
+    assert again is not res and again.tobytes() == kept_res
+    again -= prob.X[:, 4]
+    assert cache.residual(beta.copy()).tobytes() == kept_res
+    assert cache.gradient(cache.residual(beta)) is xtr and xtr.tobytes() == kept_xtr
+    # coefficients changed in place after the call are new coefficients
+    beta[2] += 1.0
+    moved = cache.residual(beta)
+    assert moved.tobytes() == solver_module._BlockCache(prob).residual(beta).tobytes()
+    assert moved.tobytes() != kept_res
+
+
+def test_a_remembered_excess_is_per_product_and_penalty():
+    prob = _small_wide_problem()
+    cache = solver_module._BlockCache(prob)
+    lmax = lambda_max(prob, 0.5)
+    high, low = _split(0.5, 0.9 * lmax), _split(0.5, 0.3 * lmax)
+    excess = solver_module._zero_test_excess
+    xty = cache.gradient(prob.y.copy())
+    first = cache.excess(xty, high)
+    assert cache.excess(xty, high) is first and not first.flags.writeable
+    # a second penalty on the same X'r recomputes, and screens in more groups
+    screened = solver_module._screen(prob, xty, low, cache)
+    assert np.array_equal(screened, solver_module._screen(prob, xty, low))
+    assert screened.sum() > solver_module._screen(prob, xty, high).sum()
+    # a new X'r at the same penalty recomputes too
+    beta = np.zeros(prob.p)
+    beta[:5] = 1.0
+    xtr = cache.gradient(cache.residual(beta))
+    assert np.array_equal(cache.excess(xtr, low), excess(prob, xtr, low))
+
+
+def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():
+    # the memos key on every bit: coefficients one ulp from the last ones
+    # get their own residual, X'r and excess inside a shared cache. They are
+    # the solution of a higher level, as at a warm start, so that groups
+    # outside it fail their zero test and their excess shows in the report
+    prob = _small_wide_problem()
+    lmax = lambda_max(prob, 0.5)
+    pen = _split(0.5, 0.3 * lmax)
+    beta = fit(prob, _split(0.5, 0.4 * lmax), SolverOptions(outer_tol=1e-9)).coefficients.beta
+    for j in np.flatnonzero(beta)[:3]:
+        near = beta.copy()
+        near[j] = np.nextafter(near[j], np.inf)
+        fresh_kkt = solver_module.kkt_residual(prob, near, pen)
+        fresh_objective = objective(prob, near, pen)
+        with solver_module._sharing_block_cache(prob):
+            solver_module.kkt_residual(prob, beta, pen)
+            objective(prob, beta, pen)
+            kkt = solver_module.kkt_residual(prob, near, pen)
+            assert objective(prob, near, pen) == fresh_objective
+        assert kkt.per_group.tobytes() == fresh_kkt.per_group.tobytes()
+        assert kkt.per_coordinate.tobytes() == fresh_kkt.per_coordinate.tobytes()
+
+
 def test_a_path_forms_a_working_set_gram_once_while_the_set_holds(monkeypatch):
     # the levels of a path that keep one working set take their face steps
     # on one Gram of its columns, 3 Grams for this path's 20 face steps; a
