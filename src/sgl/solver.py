@@ -91,9 +91,9 @@ def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
     group's segment, so on the same vector the two decide alike.
     """
     g = _shrink(a, lam2)
-    gnorm = float(np.sqrt(np.add.reduceat(g * g, _ONE_SEGMENT)[0]))
+    gnorm = math.sqrt(np.add.reduceat(g * g, _ONE_SEGMENT)[0])
     if gnorm <= lam1w:
-        return np.zeros_like(g)
+        return np.zeros(g.shape)
     # gnorm - lam1w is exact near the boundary (Sterbenz), so the factor
     # keeps its relative precision where 1 - lam1w / gnorm would cancel
     return g * ((gnorm - lam1w) / gnorm)
@@ -181,7 +181,7 @@ class _FaceSlot:
     def decompose(self, gram: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
         key = (signs != 0.0).tobytes()
         if key != self.key:
-            support = np.flatnonzero(signs)
+            support = signs.nonzero()[0]
             mu, V = np.linalg.eigh(gram[support][:, support])
             self.key, self.support, self.mu, self.V = key, support, np.maximum(mu, 0.0), V
         return self.support, self.mu, self.V
@@ -388,11 +388,11 @@ def _first_zero(
     zero with it. Up to this point every other coordinate keeps its sign, so
     the criterion along the move is the smooth one of the face of ``signs``.
     """
-    toward = np.flatnonzero(move * signs < 0.0)
+    toward = (move * signs < 0.0).nonzero()[0]
     if not toward.size:
         return None
     steps = -start[toward] / move[toward]
-    first = int(np.argmin(steps))
+    first = int(steps.argmin())
     if not steps[first] <= reach:
         return None
     out = start + steps[first] * move
@@ -445,14 +445,15 @@ def _solve_on_support(
     s = signs[support]
     a = a0[support]
     w = V.T @ (a - lam2 * s)
-    out = np.zeros_like(theta)
+    out = np.zeros(theta.shape)
     # eigh's mu ascends, so G_SS has a null direction only when mu[0] is 0
     singular = mu[0] == 0.0
     if lam1w == 0.0:
-        rounding = _ROUNDING * float(np.linalg.norm(np.abs(a) + lam2))
+        scales = np.abs(a) + lam2
+        rounding = _ROUNDING * math.sqrt(scales @ scales)
         flat = (mu <= _ROUNDING * mu[-1]) & (np.abs(w) <= rounding)
         null = (mu == 0.0) & ~flat if singular else None
-        if null is None or not null.any():
+        if null is None or not np.count_nonzero(null):
             out[support] = V[:, ~flat] @ (w[~flat] / mu[~flat])
             return out
     else:
@@ -536,14 +537,16 @@ def _block_minimize(
     signs = np.sign(theta)
     can_restart = True
     for _ in range(_BLOCK_MAX_STEPS):
-        face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2, slot) if signs.any() else None
+        face = None
+        if np.count_nonzero(signs):
+            face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2, slot)
         if face is None:
             if not can_restart:
                 break
             can_restart = False
-            norm = float(np.linalg.norm(prox))
+            norm = math.sqrt(prox @ prox)
             if norm == 0.0:
-                return np.zeros_like(theta)
+                return np.zeros(theta.shape)
             # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
             # the minimizing step at unit curvature, rescaled to u'Gu
             u = prox / norm
@@ -552,7 +555,7 @@ def _block_minimize(
             continue
         # signs constrain a face only through the one-norm term; the sign
         # test first keeps the common step, which flips none, cheap
-        flipped = lam2 > 0.0 and bool((np.sign(face) != signs).any())
+        flipped = lam2 > 0.0 and np.count_nonzero(np.sign(face) != signs) > 0
         stop = _first_zero(theta, face - theta, signs, 1.0) if flipped else None
         if stop is not None:
             theta = stop
@@ -561,7 +564,7 @@ def _block_minimize(
         theta = face
         grad = a0 - gram @ theta
         off = np.where(signs == 0.0, np.abs(grad), 0.0)
-        j = int(np.argmax(off))
+        j = int(off.argmax())
         if off[j] <= lam2:
             break
         signs[j] = np.sign(grad[j])
@@ -569,7 +572,13 @@ def _block_minimize(
 
 
 def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
-    # on Python floats: numpy's per-call overhead dwarfs a block's arithmetic
+    # on Python floats: numpy's per-call overhead dwarfs a block's arithmetic.
+    # For the same reason the hot path calls numpy at C level, where the
+    # convenience wrapper only adds Python frames around the same loop:
+    # np.count_nonzero(x) for x.any(), x.nonzero()[0] for np.flatnonzero(x),
+    # np.zeros(x.shape) for np.zeros_like(x), x.argmax() for np.argmax(x),
+    # np.maximum.reduce(x) for x.max() and math.sqrt(x @ x) for
+    # np.linalg.norm(x), each with the same bits
     t = theta.tolist()
     return lam1w * math.hypot(*t) + lam2 * sum(map(abs, t))
 
@@ -612,7 +621,7 @@ def _newton_step(
     zeroes, as the ray of :func:`_solve_on_support` does. None when the
     eigendecomposition fails too or the step is not finite.
     """
-    face = np.flatnonzero(b)
+    face = b.nonzero()[0]
     b_S, g_S = b[face], groups[face]
     with np.errstate(all="ignore"):
         norms = np.sqrt(np.bincount(g_S, weights=b_S * b_S))[g_S]
@@ -622,7 +631,7 @@ def _newton_step(
         # assembled in place
         hess = gram.take(face, axis=0).take(face, axis=1)
         hess.flat[:: face.size + 1] += c
-        np.subtract(hess, np.outer(c * u, u), out=hess, where=g_S[:, None] == g_S)
+        np.subtract(hess, (c * u)[:, None] * u, out=hess, where=g_S[:, None] == g_S)
         grad = c * b_S + lam2 * np.sign(b_S) - (res @ X_work)[face]
         stop = None
         if face.size < len(res):
@@ -641,7 +650,7 @@ def _newton_step(
             ray = _first_zero(stop, -(V[:, ~live] @ w[~live]), np.sign(stop))
             if ray is not None:
                 stop = ray
-    if not np.isfinite(stop).all():
+    if np.count_nonzero(np.isfinite(stop)) < stop.size:
         return None
     trial = b.copy()
     trial[face] = stop
@@ -793,7 +802,7 @@ def fit(
         # its first sign change. Returns the move of a full step that keeps
         # every sign, when it is kept or moves nothing by more than
         # outer_tol (below rounding, its point need not read lower)
-        if not b_work.any():
+        if not np.count_nonzero(b_work):
             return None
         trial = _newton_step(
             work_set.X, res, b_work, work_set.groups, group_lam1w, lam2, work_set.gram
@@ -803,9 +812,9 @@ def fit(
         full = keep_if_lower(trial)
         if not full:
             keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
-        if not np.array_equal(np.sign(trial), np.sign(b_work)):
+        if np.count_nonzero(np.sign(trial) != np.sign(b_work)):
             return None
-        move = float(np.abs(trial - b_work).max())
+        move = float(np.maximum.reduce(np.abs(trial - b_work)))
         return move if full or move <= opts.outer_tol else None
 
     def settle_face(b_work: np.ndarray) -> float | None:
@@ -830,13 +839,13 @@ def fit(
         xtr = cache.gradient(res)
         nonzero = work_set.holding(beta[work_set.cols])
         failing = _screen(problem, xtr, penalty, cache) & ~nonzero
-        if (failing & ~work).any():
+        if np.count_nonzero(failing & ~work):
             work |= failing
             work_set = cache.working_set(work)
-        if failing.any():
+        if np.count_nonzero(failing):
             return False
         inside = np.repeat(nonzero, problem.group_sizes) & (beta == 0.0)
-        if (np.abs(xtr[inside]) > lam2).any():
+        if np.count_nonzero(np.abs(xtr[inside]) > lam2):
             return False
         report = report_kkt()
         return report.worst_violation <= kkt_gate
@@ -859,22 +868,22 @@ def fit(
         sweeps += 1
         max_delta = 0.0
         report = None
-        for ell in np.flatnonzero(work):
+        for ell in work.nonzero()[0].tolist():
             sl = slices[ell]
             Z = X[:, sl]
             bl = beta[sl]
             # the block gradient against the block's partial residual
             a = Z.T @ res
-            block = cache.block(ell) if bl.any() else None
+            block = cache.block(ell) if np.count_nonzero(bl) else None
             if block is not None:
                 a += block[0] @ bl
             lam1w = block_lam1w[ell]
             new_bl = _block_prox(a, lam1w, lam2)
-            if new_bl.any():
+            if np.count_nonzero(new_bl):
                 gram, slot = block or cache.block(ell)
                 new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, slot)
             d = new_bl - bl
-            if d.any():
+            if np.count_nonzero(d):
                 Zd = Z @ d
                 pen_old = _block_penalty(bl, lam1w, lam2)
                 pen_new = _block_penalty(new_bl, lam1w, lam2)
@@ -884,7 +893,7 @@ def fit(
                 # progress sits below the rounding of the criterion, and
                 # rejecting it would freeze the iterate early
                 if change <= 1e-14 * (1.0 + 0.5 * float(res @ res) + pen_old):
-                    max_delta = max(max_delta, float(np.abs(d).max()))
+                    max_delta = max(max_delta, float(np.maximum.reduce(np.abs(d))))
                     beta[sl] = new_bl
                     res -= Zd
         b_work = beta[work_set.cols]
@@ -892,7 +901,7 @@ def fit(
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if (
             kept is not None and max_delta <= opts.outer_tol and history[-1] > history[-2]
-            and np.array_equal(np.sign(kept[0][work_set.cols]), np.sign(b_work))
+            and not np.count_nonzero(np.sign(kept[0][work_set.cols]) != np.sign(b_work))
         ):
             # the trial sat at the optimum to within outer_tol, and the
             # sweep could not lower it: go back to the trial's point, which
@@ -904,7 +913,7 @@ def fit(
         previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
             entering = _screen(problem, cache.gradient(res), penalty, cache) & ~work
-            if entering.any():
+            if np.count_nonzero(entering):
                 work |= entering
                 work_set = cache.working_set(work)
                 continue
@@ -952,7 +961,9 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     The gradient is ``X'r`` at the residual that :func:`fit` forms for
     ``beta``, taken from the problem's shared :class:`_BlockCache` when one
     is set: inside a fit or a path, a report on the coefficients of the last
-    screen forms no residual, product or zero-test excess of its own.
+    screen forms no residual, product or zero-test excess of its own. The
+    active blocks' residuals are formed on their own columns only, so a
+    sparse report makes no pass over every column beyond finding them.
     """
     b = problem.coefficients(beta).beta
     peaks = _group_norms(problem, b, np.inf)
@@ -960,25 +971,35 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     cache = _block_cache(problem)
     grad = cache.gradient(cache.residual(b, active))
     lam1, lam2 = penalty.lambda1, penalty.lambda2
-    sizes = problem.group_sizes
-    # zero blocks: the soft-thresholded gradient against the group radius
-    stat = grad
+    # zero blocks: how far the soft-thresholded gradient sticks out of the
+    # group's ball, the zero test's own excess; with no radius its sup norm,
+    # max |grad_g| - lambda2 (rounding is monotone, so that is the largest
+    # shrunk magnitude bit for bit)
     if lam1 > 0.0:
-        outside = np.maximum(cache.excess(grad, penalty), 0.0)
-        # active blocks: subtract the group term's gradient lam1 * w * b / ||b_g||,
-        # with b_g first scaled by its largest magnitude so that a norm whose
-        # square underflows still divides
-        peaks = np.where(active, peaks, 1.0)
-        scaled = b / np.repeat(peaks, sizes)
-        norms = np.where(active, _group_norms(problem, scaled), 1.0)
-        stat = grad - np.repeat(lam1 * problem.weights, sizes) * (scaled / np.repeat(norms, sizes))
+        per_group = np.maximum(cache.excess(grad, penalty), 0.0)
     else:
-        outside = _group_norms(problem, _shrink(grad, lam2), np.inf)
+        per_group = np.maximum(_group_norms(problem, grad, np.inf) - lam2, 0.0)
+    # active blocks, on their own columns only, whose groups' segments
+    # start at ``starts``
+    sizes = problem.group_sizes[active]
+    starts = np.cumsum(sizes) - sizes
+    cols = np.repeat(active, problem.group_sizes).nonzero()[0]
+    b_A = b[cols]
+    stat = grad[cols]
+    if lam1 > 0.0:
+        # subtract the group term's gradient lam1 * w * b / ||b_g||, with b_g
+        # first scaled by its largest magnitude so that a norm whose square
+        # underflows still divides
+        scaled = b_A / np.repeat(peaks[active], sizes)
+        norms = np.sqrt(np.add.reduceat(scaled * scaled, starts))
+        radii = np.repeat(lam1 * problem.weights[active], sizes)
+        stat = stat - radii * (scaled / np.repeat(norms, sizes))
     viol = np.where(
-        b != 0.0, np.abs(stat - lam2 * np.sign(b)), np.maximum(np.abs(stat) - lam2, 0.0)
+        b_A != 0.0, np.abs(stat - lam2 * np.sign(b_A)), np.maximum(np.abs(stat) - lam2, 0.0)
     )
-    per_coord = np.where(np.repeat(active, sizes), viol, 0.0)
-    per_group = np.where(active, _group_norms(problem, per_coord, np.inf), outside)
+    per_coord = np.zeros(problem.p)
+    per_coord[cols] = viol
+    per_group[active] = np.maximum.reduceat(np.abs(viol), starts)
     return KktReport(
         per_group=per_group,
         per_coordinate=per_coord,

@@ -288,6 +288,19 @@ def test_an_overflowing_x_ty_is_named_wherever_it_is_formed():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="X'y overflows"):
                 call()
+    # X'y is finite, but the squares of its group norms are not: lambda_max
+    # names that too, rather than dividing by zero at mixing 1 or warning
+    # its way to "penalty levels must be finite" below it
+    prob = build_problem(1e100 * y, 1e100 * X, [3, 3])
+    for mixing in (1.0, 0.5):
+        for call in (
+            lambda: lambda_max(prob, mixing),
+            lambda: fit_path(prob, PathSpec(n_points=4, mixing=mixing)),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="X'y overflows in its group norms"):
+                    call()
 
 
 def test_objective_reads_what_each_path_level_reported():

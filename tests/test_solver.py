@@ -395,6 +395,60 @@ def test_block_minimize_is_optimal_from_any_warm_start(case):
         assert (len(calls) == 1) == np.array_equal(np.sign(theta), np.sign(warm))
 
 
+def test_first_zero_is_none_when_no_coordinate_reaches_zero_in_reach():
+    first_zero = solver_module._first_zero
+    start = np.array([1.0, -2.0, 3.0])
+    signs = np.sign(start)
+    # every coordinate moves away from zero, or not at all
+    assert first_zero(start, np.array([1.0, -1.0, 0.0]), signs) is None
+    assert first_zero(start, np.zeros(3), signs) is None
+    # the first zero is at t = 0.5 (coordinate 1), beyond a reach of 0.4
+    move = np.array([-1.0, 4.0, 0.0])
+    assert first_zero(start, move, signs, 0.4) is None
+    out = first_zero(start, move, signs, 0.5)
+    assert out is not None and out.tolist() == [0.5, 0.0, 3.0]
+
+
+def test_first_zero_zeroes_the_first_coordinate_and_any_rounding_carries_past():
+    first_zero = solver_module._first_zero
+    # both coordinates reach zero at the same step, but at the step that
+    # zeroes coordinate 0 the rounded update leaves coordinate 1 below zero
+    start = np.array([0.503676979200579, 0.7534465385839052])
+    move = np.array([-0.9138376676731629, -1.3670027735409795])
+    steps = -start / move
+    assert steps[0] <= steps[1] and (start + steps[0] * move)[1] < 0.0
+    out = first_zero(start, move, np.sign(start))
+    assert out.tolist() == [0.0, 0.0]
+
+
+def test_first_zero_keeps_every_other_sign():
+    first_zero = solver_module._first_zero
+    rng = np.random.default_rng(1003)
+    for _ in range(300):
+        k = int(rng.integers(1, 12))
+        start = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, size=k)
+        signs = np.sign(start)
+        move = rng.standard_normal(k)
+        reach = float(rng.choice([0.5, 1.0, np.inf]))
+        toward = move * signs < 0.0
+        steps = np.full(k, np.inf)
+        steps[toward] = -start[toward] / move[toward]
+        first = int(np.argmin(steps))
+        out = first_zero(start, move, signs, reach)
+        if not (toward.any() and steps[first] <= reach):
+            assert out is None
+            continue
+        assert out[first] == 0.0
+        # no coordinate crosses zero, and those left nonzero keep their sign
+        assert np.all(out * signs >= 0.0)
+        assert np.array_equal(np.sign(out[out != 0.0]), signs[out != 0.0])
+        # every other coordinate is the point start + t move itself
+        point = start + steps[first] * move
+        moved = point * signs > 0.0
+        moved[first] = False
+        assert np.array_equal(out[moved], point[moved])
+
+
 def test_a_face_slot_reused_across_supports_gives_fresh_results():
     # one block's slot sees warm starts on different supports in turn,
     # some repeated after another support overwrote it; every face solve and
@@ -1514,6 +1568,17 @@ def test_kkt_stays_finite_when_an_active_group_norm_underflows():
     assert np.isfinite(report.worst_violation)
 
 
+def _assert_kkt_matches_reference(prob, beta, pen, scale):
+    rep = kkt_residual(prob, beta, pen)
+    per_group, per_coord, active, worst = kkt_reference(
+        prob.y, prob.X, beta, prob.group_sizes, prob.weights, pen.lambda1, pen.lambda2
+    )
+    assert np.array_equal(rep.active, active)
+    np.testing.assert_allclose(rep.per_group, per_group, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(rep.per_coordinate, per_coord, rtol=1e-12, atol=1e-12 * scale)
+    assert rep.worst_violation == pytest.approx(worst, rel=1e-12, abs=1e-12 * scale)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_kkt_matches_the_per_group_reference(seed):
     rng = np.random.default_rng(450 + seed)
@@ -1530,13 +1595,21 @@ def test_kkt_matches_the_per_group_reference(seed):
         perturbed = solved + 0.05 * rng.standard_normal(prob.p) * (solved != 0.0)
         sparse = rng.standard_normal(prob.p) * (rng.random(prob.p) < 0.4)
         for beta in (solved, perturbed, sparse, np.zeros(prob.p)):
-            rep = kkt_residual(prob, beta, pen)
-            per_group, per_coord, active, worst = kkt_reference(
-                prob.y, prob.X, beta, prob.group_sizes, prob.weights, lam1, lam2
-            )
-            assert np.array_equal(rep.active, active)
-            np.testing.assert_allclose(rep.per_group, per_group, rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(
-                rep.per_coordinate, per_coord, rtol=1e-12, atol=1e-12 * scale
-            )
-            assert rep.worst_violation == pytest.approx(worst, rel=1e-12, abs=1e-12 * scale)
+            _assert_kkt_matches_reference(prob, beta, pen, scale)
+    # wide-shaped points, p = 1000 in groups of five: at most five nonzero
+    # groups, partly zero inside, next to 195 or more zero groups; and the
+    # all-zero and all-active points
+    wide = random_problem(rng, 40, [5] * 200, weight_mode="sqrt-size", sparsity=0.02)
+    scale = max(1.0, float(np.abs(wide.X.T @ wide.y).max()))
+    lmax = lambda_max(wide, 0.5)
+    points = [np.zeros(wide.p), rng.standard_normal(wide.p)]
+    for count in (1, 3, 5):
+        beta = np.zeros(wide.p)
+        for g in rng.choice(200, size=count, replace=False):
+            block = rng.standard_normal(5) * (rng.random(5) < 0.6)
+            block[rng.integers(5)] = rng.standard_normal()
+            beta[5 * g:5 * g + 5] = block
+        points.append(beta)
+    for pen in (PenaltySpec(0.0, 0.3 * lmax), PenaltySpec(0.3 * lmax, 0.0)):
+        for beta in points:
+            _assert_kkt_matches_reference(wide, beta, pen, scale)
