@@ -226,6 +226,18 @@ def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "
     )
 
 
+# the start of a vector's one segment: _segment_norms over all of it
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _segment_norms(v: np.ndarray, starts: np.ndarray = _WHOLE) -> np.ndarray:
+    """Euclidean norm of each segment of ``v`` that begins at an entry of
+    ``starts``, all of ``v`` by default: the one expression for a group
+    norm, so the zero test of one block and of all groups at once decide
+    alike on the same vector."""
+    return np.sqrt(np.add.reduceat(v * v, starts))
+
+
 def _group_norms(problem: GroupedProblem, v: np.ndarray, order: float = 2) -> np.ndarray:
     """Norm of each group's segment of the length-p vector ``v``, in group order.
 
@@ -234,7 +246,7 @@ def _group_norms(problem: GroupedProblem, v: np.ndarray, order: float = 2) -> np
     ``lambda_max``) and the objective form their group norms here.
     """
     if order == 2:
-        return np.sqrt(np.add.reduceat(v * v, problem._starts))
+        return _segment_norms(v, problem._starts)
     return np.maximum.reduceat(np.abs(v), problem._starts)
 
 

@@ -14,11 +14,12 @@ sign face is tried (on a face of n columns or more, only once a sweep
 leaves every sign as the sweep before did), and when it does not lower
 the criterion, the same step stopped where it first zeroes a coordinate;
 either is kept only when it lowers the criterion. On a face of fewer than
-n columns, full steps that keep every sign follow one another, and a fit
-can stop at one that moves nothing by more than its tolerance, with no
-sweep after it, when that point passes a sweep's own tests: every zero
-group's zero test, every zero coordinate's entry test and the KKT gate.
-A fixed point of these rules is a global optimum of the convex criterion.
+n columns, full steps that keep every sign follow one another. A fit
+stops by one rule: at a sweep, or at one of those steps, that moves
+nothing by more than its tolerance, when that point passes three tests on
+one ``X'r``: every zero group's zero test, every zero coordinate's entry
+test and the KKT gate. A fixed point of these rules is a global optimum
+of the convex criterion.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     PenaltySpec,
     _group_norms,
     _objective_from_residual,
+    _segment_norms,
 )
 
 __all__ = [
@@ -62,8 +64,6 @@ _FACE_STEPS = 10
 # Without a group term, a face direction whose curvature and pull are both
 # below this share of the face's scales is flat: both are rounding there
 _ROUNDING = 1e-12
-# the start of the one segment that _block_prox sums, as _group_norms does
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 def soft_threshold(z, lam):
@@ -86,12 +86,11 @@ def _block_prox(a: np.ndarray, lam1w: float, lam2: float) -> np.ndarray:
     norm by ``lam1w``.
 
     It is zero exactly when the block zero test ||S(a, lam2)|| <= lam1w
-    passes, and it is the block minimizer when the block's columns are
-    orthonormal. The norm is summed like :func:`_zero_test_excess` sums a
-    group's segment, so on the same vector the two decide alike.
+    passes, its norm formed as :func:`_zero_test_excess` forms a group's,
+    and it is the block minimizer when the block's columns are orthonormal.
     """
     g = _shrink(a, lam2)
-    gnorm = math.sqrt(np.add.reduceat(g * g, _ONE_SEGMENT)[0])
+    gnorm = float(_segment_norms(g)[0])
     if gnorm <= lam1w:
         return np.zeros(g.shape)
     # gnorm - lam1w is exact near the boundary (Sterbenz), so the factor
@@ -129,16 +128,14 @@ class KktReport:
 class SolverOptions:
     """Convergence controls for :func:`fit`.
 
-    A fit is declared converged when a sweep over its working set moves no
-    coefficient by more than ``outer_tol``, a screen of every other group
-    finds none failing the zero test, and the worst first-order violation
-    is below ``5 * outer_tol * max(1, ||X'y||_inf)``. It is declared
-    converged too, with no sweep after it, at a face step that moves no
-    coefficient by more than ``outer_tol`` and keeps every sign, when at
-    its point every all-zero group passes the zero test, every zero
-    coordinate of a nonzero group has ``|X_j'r| <= lambda2``, and that
-    gate holds. A fit whose sweep moves nothing by more than
-    ``1e-4 * outer_tol`` while the gate fails stops there, reported as not
+    A fit is declared converged at a sweep over its working set that moves
+    no coefficient by more than ``outer_tol``, or at a face step that moves
+    none by more than that and keeps every sign, when at its point every
+    all-zero group passes the zero test, every zero coordinate of a nonzero
+    group has ``|X_j'r| <= lambda2``, and the worst first-order violation is
+    below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep moves
+    nothing by more than ``1e-4 * outer_tol`` while these tests fail, and
+    brings no group into its working set, stops there, reported as not
     converged. ``max_sweeps`` caps the working-set sweeps, which are all
     that ``FitResult.sweeps`` counts. Blocks are solved exactly, so
     ``inner_tol`` is validated but changes no result.
@@ -146,9 +143,8 @@ class SolverOptions:
     No option controls the face steps that :func:`fit` tries at a warm
     start and between sweeps. A point is kept only when its exact criterion
     is strictly below the one it would replace, and none is tried after the
-    last allowed sweep, so a fit always returns a sweep's output or a
-    point with the sweep's signs: one the face steps after it reached, or,
-    when the sweep after a kept point cannot lower it, that point.
+    last allowed sweep, so a fit always returns the last sweep's output or
+    the point of a face step after it, which has the sweep's signs.
     """
 
     outer_tol: float = 1e-7
@@ -260,11 +256,16 @@ class _BlockCache:
 
     @cached_property
     def xty(self) -> np.ndarray:
+        # X and y are finite, so only their scale can make the zero test's
+        # norms of X'y lose their meaning: squares that overflow, or, below
+        # 2**-459, an ulp of the largest entry that squares to a subnormal
         with np.errstate(over="ignore", invalid="ignore"):
             xty = self.problem.X.T @ self.problem.y
-        if not np.isfinite(xty).all():
-            # X and y are finite, so only the products' scale can do this
-            raise ValueError("X'y overflows: rescale the response or the features")
+            norms = _group_norms(self.problem, xty)
+        if not np.isfinite(norms).all():
+            raise ValueError("X'y overflows in its group norms: rescale the response or the features")
+        if 0.0 < float(np.abs(xty).max()) < 2.0**-459:
+            raise ValueError("X'y underflows in its group norms: rescale the response or the features")
         xty.setflags(write=False)
         return xty
 
@@ -680,14 +681,10 @@ def fit(
     that rounding. After each sweep the residual is formed afresh as
     ``y - X_A b_A``, with A the columns of the nonzero groups, the one
     formula for every residual of a fit and of :func:`kkt_residual`, so the
-    same coefficients give the same bits wherever they are formed. When a
-    sweep moves no coefficient by more than ``outer_tol``, all other groups
-    are screened at once at that residual, and any that fail the zero test
-    join the working set; once none do, the fit stops, converged if its
-    first-order violations pass the gate of :class:`SolverOptions` and
-    unconverged if its sweeps have stalled short of it. With both penalties
-    zero this is plain least squares; a rank-deficient design then sets
-    ``degenerate`` (the returned solution is one minimizer among many).
+    same coefficients give the same bits wherever they are formed. With
+    both penalties zero this is plain least squares; a rank-deficient
+    design then sets ``degenerate`` (the returned solution is one minimizer
+    among many).
 
     Block coordinate descent converges at a linear rate that can be slow
     (near-interpolating designs with n < p, warm-started levels with every
@@ -711,31 +708,31 @@ def fit(
 
     On a face of fewer than n columns, full steps follow one another, each
     from the last, while each is kept and keeps every sign, up to
-    ``_FACE_STEPS`` of them. When one keeps every sign and moves no
-    coefficient by more than ``outer_tol`` (kept or not: that close to the
-    face minimizer its point need not read lower), the fit runs a sweep's
-    stop tests at the point it holds, on one ``X'r``: every all-zero
-    group, in the working set too, must pass the zero test (those outside
-    that fail join the working set), every zero coordinate of a nonzero
-    group must pass the entry test ``|X_j'r| <= lambda2`` of
-    :func:`_block_minimize`, and the KKT gate must hold. Then the fit
-    stops there, converged, with that step's move as ``max_coef_delta``
-    and no sweep to confirm the point, which has the last sweep's signs
-    and exact zeros and where no sweep could bring in a group or a
-    coordinate; otherwise the sweeps go on. ``sweeps`` counts sweeps only.
+    ``_FACE_STEPS`` of them. A trial is kept, with its residual and its
+    objective as the sweep's history entry (the start's, at a warm start),
+    only when that exact objective is strictly below the entry's; so a
+    trial never raises the history, groups outside the working set stay
+    exactly zero, and a singular or non-finite solve changes nothing.
 
-    A trial is kept, with its residual and its objective as the sweep's
-    history entry (the start's, at a warm start), only when that exact
-    objective is strictly below the entry's; so a trial never raises the
-    history, groups outside the working set stay exactly zero, and a
-    singular or non-finite solve changes nothing. A kept trial can land on
-    the optimum itself; when the sweep after it moves nothing beyond
-    ``outer_tol``, leaves every sign as the trial's and still reads above
-    it, that sweep could not lower the point, and the fit goes back to the
-    trial's point and objective.
-    None is tried after a sweep that meets the stop rule or after the last
-    allowed sweep, so the returned ``beta`` is always a block sweep's
-    output or a point with the same signs, and has a sweep's exact zeros.
+    A fit stops by one rule. At a sweep that moves no coefficient by more
+    than ``outer_tol``, and at a full face step that keeps every sign and
+    moves none by more than that (kept or not: that close to the face
+    minimizer its point need not read lower), it runs a sweep's own tests
+    at the point it holds, on one ``X'r``: every all-zero group, in the
+    working set too, must pass the zero test, and those outside that fail
+    join the working set, which no other test after the start enlarges;
+    every zero coordinate of a nonzero group must pass the entry test
+    ``|X_j'r| <= lambda2`` of :func:`_block_minimize`; and the KKT gate of
+    :class:`SolverOptions` must hold. When all pass, no sweep could bring
+    in a group or a coordinate, and the fit stops, converged, with that
+    sweep's or step's move as ``max_coef_delta``, so a step's point needs
+    no sweep to confirm it. Otherwise the sweeps go on, except after a
+    sweep that moved nothing by more than ``1e-4 * outer_tol`` and brought
+    no group in: the fit has stalled, and stops there, unconverged. No face
+    step is tried after a sweep that moves nothing beyond ``outer_tol`` or
+    after the last allowed sweep, so the returned ``beta`` is the last
+    sweep's output or the point of a face step after it, with the sweep's
+    signs and exact zeros. ``sweeps`` counts sweeps only.
 
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
@@ -745,14 +742,15 @@ def fit(
     working set's columns and their Gram, kept while the working set holds,
     and the last residual, ``X'r`` and zero-test excess it formed, each
     with what it was formed from. So a fit forms one ``X'r`` per screen:
-    one at a warm start and one at each stop screen or face step's stop
-    test, whose last, with its residual and excess, also serves the KKT
-    report, which :func:`kkt_residual` makes on the fit's cache; a screen
-    after a sweep that moved nothing since the last one reuses its
-    product. Each call makes a fresh cache, except inside
-    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
-    warm start takes the residual and product of the level before's last
-    screen; the results are the same either way.
+    one at its start and one at each run of the stop tests, whose last,
+    with its residual and excess, also serves the KKT report, which
+    :func:`kkt_residual` makes on the fit's cache; a screen after a sweep
+    that moved nothing since the last one reuses its product. Each call
+    makes a fresh cache, except inside :func:`sgl.path.fit_path`, whose
+    levels share one, so that a level's warm start takes the residual and
+    product of the level before's last screen; the results are the same
+    either way. Raises ``ValueError`` when the group norms of ``X'y``
+    overflow, or when ``0 < max|X'y| < 2**-459``, where they underflow.
     """
     opts = opts or SolverOptions()
     X = problem.X
@@ -777,7 +775,7 @@ def fit(
     def keep_if_lower(trial: np.ndarray | None) -> bool:
         # keep a trial of the working set's coefficients only when its exact
         # objective is strictly below the history's last entry
-        nonlocal beta, res, kept
+        nonlocal beta, res
         if trial is None:
             return False
         trial_beta = np.zeros(p)
@@ -788,7 +786,6 @@ def fit(
         if not trial_obj < history[-1]:
             return False
         beta, res, history[-1] = trial_beta, trial_res, trial_obj
-        kept = trial_beta.copy(), trial_res.copy()
         return True
 
     def report_kkt() -> KktReport:
@@ -820,7 +817,7 @@ def fit(
     def settle_face(b_work: np.ndarray) -> float | None:
         # full face steps, each from the last, while they keep every sign;
         # the move of the first that moves nothing by more than outer_tol,
-        # when the point the fit then holds passes a sweep's stop tests
+        # when the point the fit then holds passes the stop tests
         for _ in range(_FACE_STEPS):
             move = face_step(b_work)
             if move is None:
@@ -831,8 +828,9 @@ def fit(
         return None
 
     def certified() -> bool:
-        # a sweep's own tests at the current point: every zero group passes
-        # the zero test (those outside the working set that fail join it),
+        # the stop tests, at a quiet sweep's or a converged face step's
+        # point: every zero group passes the zero test (those outside the
+        # working set that fail join it, the one place after the start),
         # every zero coordinate of a nonzero group passes _block_minimize's
         # entry test |X_j'r| <= lambda2, and the KKT gate holds
         nonlocal work, work_set, report
@@ -856,8 +854,6 @@ def fit(
     history = [_objective_from_residual(problem, res, beta, penalty)]
     # the working set's signs after the last sweep
     signs_key = None
-    # the point of a trial kept since the last sweep, as (beta, residual)
-    kept = None
     # a warm start carries the signs of a nearby optimum: step on its face
     # before the first sweep
     face_step(beta[work_set.cols])
@@ -899,28 +895,12 @@ def fit(
         b_work = beta[work_set.cols]
         res = cache.residual(beta, work_set.holding(b_work))
         history.append(_objective_from_residual(problem, res, beta, penalty))
-        if (
-            kept is not None and max_delta <= opts.outer_tol and history[-1] > history[-2]
-            and not np.count_nonzero(np.sign(kept[0][work_set.cols]) != np.sign(b_work))
-        ):
-            # the trial sat at the optimum to within outer_tol, and the
-            # sweep could not lower it: go back to the trial's point, which
-            # has the sweep's signs and so its zeros
-            beta, res = kept
-            b_work = beta[work_set.cols]
-            history[-1] = history[-2]
-        kept = None
         previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
-            entering = _screen(problem, cache.gradient(res), penalty, cache) & ~work
-            if np.count_nonzero(entering):
-                work |= entering
-                work_set = cache.working_set(work)
-                continue
-            report = report_kkt()
-            converged = report.worst_violation <= kkt_gate
-            # a stalled fit stops too, but it has not converged
-            if converged or max_delta <= 1e-4 * opts.outer_tol:
+            held = work_set
+            converged = certified()
+            # a stalled fit stops too, unconverged, unless groups just joined
+            if converged or (work_set is held and max_delta <= 1e-4 * opts.outer_tol):
                 break
         elif sweeps < opts.max_sweeps and np.count_nonzero(b_work) < problem.n:
             # never after the last sweep: a fit returns a sweep's output

@@ -152,25 +152,43 @@ def test_fit_accepts_a_response_with_a_large_offset(tmp_path):
     assert code == 0
 
 
-def test_path_names_an_overflowing_zero_test(tmp_path):
-    # finite data whose X'y squares past the float range: one error line
-    # that names the overflow, exit 1, and no traceback
+def _path_on_scaled_data(tmp_path, scale):
+    # `sgl path` at mixing 1 on a 30 x 6 draw whose y and X are scaled by
+    # ``scale``: the finished process
     rng = np.random.default_rng(63)
     X = rng.standard_normal((30, 6))
     y = X @ rng.standard_normal(6) + rng.standard_normal(30)
     data, groups = tmp_path / "data.csv", tmp_path / "groups.csv"
-    np.savetxt(data, 1e100 * np.column_stack([y, X]), delimiter=",",
+    np.savetxt(data, scale * np.column_stack([y, X]), delimiter=",",
                header="y,a,b,c,d,e,f", comments="", fmt="%.17g")
     groups.write_text("column,group\na,g1\nb,g1\nc,g1\nd,g2\ne,g2\nf,g2\n")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "sgl", "path", "--data", str(data), "--groups", str(groups),
          "--alpha", "1", "--out", str(tmp_path / "path")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
+
+
+def test_path_names_an_overflowing_zero_test(tmp_path):
+    # finite data whose X'y squares past the float range: one error line
+    # that names the overflow, exit 1, and no traceback
+    proc = _path_on_scaled_data(tmp_path, 1e100)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+
+
+def test_path_names_an_underflowing_zero_test(tmp_path):
+    # finite data whose X'y is so small that an ulp of it squares to a
+    # subnormal, where the all-zero level climbed an ulp at a time for
+    # seconds: one error line that names the underflow, exit 1, and no
+    # traceback
+    proc = _path_on_scaled_data(tmp_path, 1e-80)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "underflows" in lines[0]
 
 
 def test_fit_nonconvergence_exits_2_but_writes(sim_dir, tmp_path):

@@ -274,7 +274,8 @@ def test_path_on_a_signal_free_response_raises():
 def test_an_overflowing_x_ty_is_named_wherever_it_is_formed():
     # every entry of X and y is finite, but X'y is not: lambda_max, a lone
     # fit and a path raise one error that names the overflow, rather than
-    # a level of 0, an unconverged fit with a KKT of nan, or "no signal"
+    # a level of 0, an unconverged fit with a KKT of nan, or "no signal".
+    # The same holds for an X'y whose group norms over- or underflow
     rng = np.random.default_rng(63)
     X = rng.standard_normal((30, 6))
     y = X @ rng.standard_normal(6) + rng.standard_normal(30)
@@ -288,19 +289,25 @@ def test_an_overflowing_x_ty_is_named_wherever_it_is_formed():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="X'y overflows"):
                 call()
-    # X'y is finite, but the squares of its group norms are not: lambda_max
-    # names that too, rather than dividing by zero at mixing 1 or warning
-    # its way to "penalty levels must be finite" below it
-    prob = build_problem(1e100 * y, 1e100 * X, [3, 3])
-    for mixing in (1.0, 0.5):
-        for call in (
-            lambda: lambda_max(prob, mixing),
-            lambda: fit_path(prob, PathSpec(n_points=4, mixing=mixing)),
-        ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="X'y overflows in its group norms"):
-                    call()
+    # X'y is finite, but the squares of its group norms are not: all three
+    # name that too, rather than lambda_max dividing by zero at mixing 1 or
+    # warning its way to "penalty levels must be finite" below it, and a
+    # lone fit returning unconverged with a KKT of inf. Below 2**-459 an ulp
+    # of X'y squares to a subnormal: lambda_max climbed an ulp at a time for
+    # seconds at 1e-80, and returned 0 at 1e-100, so a lone fit was all-zero
+    # and a path read "no signal"; they name the underflow instead
+    for scale, name in ((1e100, "overflows"), (1e-80, "underflows"), (1e-100, "underflows")):
+        prob = build_problem(scale * y, scale * X, [3, 3])
+        for mixing in (1.0, 0.5):
+            for call in (
+                lambda: lambda_max(prob, mixing),
+                lambda: fit(prob, PenaltySpec(1.0 - mixing, mixing)),
+                lambda: fit_path(prob, PathSpec(n_points=4, mixing=mixing)),
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=f"X'y {name} in its group norms"):
+                        call()
 
 
 def test_objective_reads_what_each_path_level_reported():
