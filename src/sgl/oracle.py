@@ -8,6 +8,7 @@ both. Verification-grade, not performance-grade.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class OracleOptions:
     def __post_init__(self):
         if self.step is not None and not (self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
-        if int(self.max_iters) < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if not (self.tol >= 0.0) or not math.isfinite(self.tol):
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
 

@@ -7,6 +7,7 @@ the grid starts at the smallest level whose optimum is all-zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class PathSpec:
     mixing: float = 0.5
 
     def __post_init__(self):
-        if int(self.n_points) < 2:
-            raise ValueError(f"n_points must be at least 2, got {self.n_points}")
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 2:
+            raise ValueError(f"n_points must be an integer of at least 2, got {self.n_points!r}")
         if not (0.0 < self.ratio_min < 1.0):
             raise ValueError(f"ratio_min must be in (0, 1), got {self.ratio_min}")
         if not (0.0 <= self.mixing <= 1.0):
@@ -127,7 +128,7 @@ def fit_path(
         lmax = lambda_max(problem, alpha)
         if lmax <= 0.0:
             raise ValueError("response carries no signal: the all-zero level is 0")
-        exponents = np.linspace(0.0, 1.0, int(spec.n_points))
+        exponents = np.linspace(0.0, 1.0, spec.n_points)
         lambdas = lmax * spec.ratio_min**exponents
         for lam in lambdas:
             penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)

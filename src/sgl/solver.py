@@ -16,15 +16,17 @@ the criterion, the same step stopped where it first zeroes a coordinate;
 either is kept only when it lowers the criterion. On a face of fewer than
 n columns, full steps that keep every sign follow one another. A fit
 stops by one rule: at a sweep, or at one of those steps, that moves
-nothing by more than its tolerance, when that point passes three tests on
-one ``X'r``: every zero group's zero test, every zero coordinate's entry
-test and the KKT gate. A fixed point of these rules is a global optimum
-of the convex criterion.
+nothing by more than its tolerance, when that point's KKT report, its one
+certificate, reads 0 at every zero group and every zero coordinate (each
+passes its zero test or entry test) and its worst violation is within the
+KKT gate. A fixed point of these rules is a global optimum of the convex
+criterion.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -115,7 +117,11 @@ class KktReport:
     ``per_group`` holds one nonnegative residual per block (in gradient
     units for zero blocks, sup norm of the stationarity residual for active
     blocks); ``per_coordinate`` holds the coordinate-level violations inside
-    active blocks; ``worst_violation`` is the overall maximum.
+    active blocks; ``worst_violation`` is the overall maximum. An entry at a
+    zero is 0 exactly when its test passes: a zero block's when its zero
+    test ``||S(X_g'r, lambda2)|| <= lambda1 w_g`` does, and a zero
+    coordinate's of an active block when ``|X_j'r| <= lambda2``. So the
+    report is :func:`fit`'s stop certificate.
     """
 
     per_group: np.ndarray
@@ -130,10 +136,11 @@ class SolverOptions:
 
     A fit is declared converged at a sweep over its working set that moves
     no coefficient by more than ``outer_tol``, or at a face step that moves
-    none by more than that and keeps every sign, when at its point every
-    all-zero group passes the zero test, every zero coordinate of a nonzero
-    group has ``|X_j'r| <= lambda2``, and the worst first-order violation is
-    below ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep moves
+    none by more than that and keeps every sign, when its point's
+    :class:`KktReport` certifies it: every all-zero group passes the zero
+    test, every zero coordinate of a nonzero group has
+    ``|X_j'r| <= lambda2``, and the worst first-order violation is at most
+    ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep moves
     nothing by more than ``1e-4 * outer_tol`` while these tests fail, and
     brings no group into its working set, stops there, reported as not
     converged. ``max_sweeps`` caps the working-set sweeps, which are all
@@ -154,8 +161,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (self.outer_tol > 0.0) or not math.isfinite(self.outer_tol):
             raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
-        if int(self.max_sweeps) < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
         if self.inner_tol is not None and not (self.inner_tol > 0.0):
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
@@ -220,10 +227,9 @@ class _BlockCache:
     the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
     :func:`sgl.path.lambda_max`, the path's first level; the last residual
     that :meth:`residual` formed, with its coefficients; the last ``X'r``
-    that :meth:`gradient` formed, with its residual, and its zero-test
-    excess under the last penalty asked of :meth:`excess`; the
-    column-to-group map; and the :class:`_Columns` of the last residual's
-    groups and of the last working set.
+    that :meth:`gradient` formed, with its residual; the column-to-group
+    map; and the :class:`_Columns` of the last residual's groups and of the
+    last working set.
 
     A block holds its Gram and at most one decomposition of a principal
     submatrix of it, so the blocks hold at most about twice the Grams' sum
@@ -240,8 +246,6 @@ class _BlockCache:
         # the bytes of the last residual asked of gradient, and its X'r
         self._res_key: bytes | None = None
         self._xtr: np.ndarray | None = None
-        # (X'r, penalty levels, zero-test excess) of the last excess asked
-        self._excess: tuple | None = None
         # the columns of the last residual's groups and of the last working set
         self._support: _Columns | None = None
         self._work: _Columns | None = None
@@ -319,8 +323,8 @@ class _BlockCache:
         :func:`sgl.path.lambda_max` tests, so a fit at that level is
         all-zero. A residual formed by :meth:`residual` from the same
         coefficients has the same bits, so inside :func:`sgl.path.fit_path`
-        the product of a level's last screen also serves its KKT report and
-        the next level's warm start.
+        the product that a level's last KKT report formed also serves the
+        next level's warm start.
         """
         key = res.tobytes()
         if key != self._res_key:
@@ -331,20 +335,6 @@ class _BlockCache:
                 xtr.setflags(write=False)
             self._res_key, self._xtr = key, xtr
         return self._xtr
-
-    def excess(self, xtr: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-        """:func:`_zero_test_excess` of ``xtr`` under ``penalty``, kept,
-        read-only, when ``xtr`` is the last product of :meth:`gradient`,
-        so that a fit's stop screen and its KKT report share one."""
-        levels = (penalty.lambda1, penalty.lambda2)
-        held = self._excess
-        if held is not None and held[0] is xtr and held[1] == levels:
-            return held[2]
-        excess = _zero_test_excess(self.problem, xtr, penalty)
-        if xtr is self._xtr:
-            excess.setflags(write=False)
-            self._excess = (xtr, levels, excess)
-        return excess
 
     @cached_property
     def gate_scale(self) -> float:
@@ -584,18 +574,6 @@ def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
     return lam1w * math.hypot(*t) + lam2 * sum(map(abs, t))
 
 
-def _screen(
-    problem: GroupedProblem, xtr: np.ndarray, penalty: PenaltySpec,
-    cache: _BlockCache | None = None,
-) -> np.ndarray:
-    """Mask of the groups failing the exact zero test at ``xtr = X'r``, all
-    groups at once, with the excess that ``cache`` keeps when one is given.
-    Only meaningful for zero blocks, whose partial residual is ``r``
-    itself."""
-    excess = _zero_test_excess(problem, xtr, penalty) if cache is None else cache.excess(xtr, penalty)
-    return excess > 0.0
-
-
 def _newton_step(
     X_work: np.ndarray, res: np.ndarray, b: np.ndarray, groups: np.ndarray,
     lam1w: np.ndarray, lam2: float, gram: np.ndarray,
@@ -717,14 +695,17 @@ def fit(
     A fit stops by one rule. At a sweep that moves no coefficient by more
     than ``outer_tol``, and at a full face step that keeps every sign and
     moves none by more than that (kept or not: that close to the face
-    minimizer its point need not read lower), it runs a sweep's own tests
-    at the point it holds, on one ``X'r``: every all-zero group, in the
-    working set too, must pass the zero test, and those outside that fail
-    join the working set, which no other test after the start enlarges;
-    every zero coordinate of a nonzero group must pass the entry test
-    ``|X_j'r| <= lambda2`` of :func:`_block_minimize`; and the KKT gate of
-    :class:`SolverOptions` must hold. When all pass, no sweep could bring
-    in a group or a coordinate, and the fit stops, converged, with that
+    minimizer its point need not read lower), it makes the KKT report of
+    the point it holds (:func:`kkt_residual`, on the fit's cache), its one
+    certificate, and reads a sweep's own tests from it: every all-zero
+    group, in the working set too, must pass the zero test (its entry is
+    0), and those outside that fail join the working set, which no other
+    test after the start enlarges; every zero coordinate of a nonzero group
+    must pass the entry test ``|X_j'r| <= lambda2`` of
+    :func:`_block_minimize` (its entry is 0); and the worst violation must
+    be within the KKT gate of :class:`SolverOptions`. When all pass, no
+    sweep could bring in a group or a coordinate, and the fit stops,
+    converged, with that report as its own and with that
     sweep's or step's move as ``max_coef_delta``, so a step's point needs
     no sweep to confirm it. Otherwise the sweeps go on, except after a
     sweep that moved nothing by more than ``1e-4 * outer_tol`` and brought
@@ -740,16 +721,14 @@ def fit(
     solve, reused while that support holds, ``X'y`` for the gate's scale
     ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
     working set's columns and their Gram, kept while the working set holds,
-    and the last residual, ``X'r`` and zero-test excess it formed, each
-    with what it was formed from. So a fit forms one ``X'r`` per screen:
-    one at its start and one at each run of the stop tests, whose last,
-    with its residual and excess, also serves the KKT report, which
-    :func:`kkt_residual` makes on the fit's cache; a screen after a sweep
-    that moved nothing since the last one reuses its product. Each call
-    makes a fresh cache, except inside :func:`sgl.path.fit_path`, whose
-    levels share one, so that a level's warm start takes the residual and
-    product of the level before's last screen; the results are the same
-    either way. Raises ``ValueError`` when the group norms of ``X'y``
+    and the last residual and ``X'r`` it formed, each with what it was
+    formed from. So a fit forms one ``X'r`` per screen: one at its start
+    and one inside each stop's KKT report; a stop after a sweep that moved
+    nothing since the last one reuses its product. Each call makes a fresh
+    cache, except inside :func:`sgl.path.fit_path`, whose levels share
+    one, so that a level's warm start takes the residual and product of
+    the level before's last report; the results are the same either way.
+    Raises ``ValueError`` when the group norms of ``X'y``
     overflow, or when ``0 < max|X'y| < 2**-459``, where they underflow.
     """
     opts = opts or SolverOptions()
@@ -766,7 +745,7 @@ def fit(
 
     active = _group_norms(problem, beta, np.inf) != 0.0
     res = cache.residual(beta, active)
-    work = active | _screen(problem, cache.gradient(res), penalty, cache)
+    work = active | (_zero_test_excess(problem, cache.gradient(res), penalty) > 0.0)
 
     group_lam1w = lam1 * problem.weights
     # the same products as Python floats, for the sweep's block visits
@@ -789,8 +768,8 @@ def fit(
         return True
 
     def report_kkt() -> KktReport:
-        # the public kkt_residual on this fit's cache: at the stop it forms
-        # no product, its residual being the last screen's bit for bit
+        # the public kkt_residual on this fit's cache, which holds the fit's
+        # last residual and forms X'r only for a residual it has not seen
         with _sharing_block_cache(problem, cache):
             return kkt_residual(problem, beta, penalty)
 
@@ -817,7 +796,7 @@ def fit(
     def settle_face(b_work: np.ndarray) -> float | None:
         # full face steps, each from the last, while they keep every sign;
         # the move of the first that moves nothing by more than outer_tol,
-        # when the point the fit then holds passes the stop tests
+        # when the point the fit then holds passes the stop certificate
         for _ in range(_FACE_STEPS):
             move = face_step(b_work)
             if move is None:
@@ -828,24 +807,21 @@ def fit(
         return None
 
     def certified() -> bool:
-        # the stop tests, at a quiet sweep's or a converged face step's
-        # point: every zero group passes the zero test (those outside the
-        # working set that fail join it, the one place after the start),
-        # every zero coordinate of a nonzero group passes _block_minimize's
-        # entry test |X_j'r| <= lambda2, and the KKT gate holds
+        # the stop certificate, at a quiet sweep's or a converged face
+        # step's point: the KKT report, whose entry at a zero is 0 exactly
+        # when that zero's test passes. Every zero group must pass the zero
+        # test (those outside the working set that fail join it, the one
+        # place after the start), every zero coordinate of a nonzero group
+        # _block_minimize's entry test |X_j'r| <= lambda2, and the worst
+        # violation the KKT gate
         nonlocal work, work_set, report
-        xtr = cache.gradient(res)
-        nonzero = work_set.holding(beta[work_set.cols])
-        failing = _screen(problem, xtr, penalty, cache) & ~nonzero
+        report = report_kkt()
+        failing = (report.per_group > 0.0) & ~report.active
         if np.count_nonzero(failing & ~work):
             work |= failing
             work_set = cache.working_set(work)
-        if np.count_nonzero(failing):
+        if np.count_nonzero(failing) or np.count_nonzero(report.per_coordinate[beta == 0.0] > 0.0):
             return False
-        inside = np.repeat(nonzero, problem.group_sizes) & (beta == 0.0)
-        if np.count_nonzero(np.abs(xtr[inside]) > lam2):
-            return False
-        report = report_kkt()
         return report.worst_violation <= kkt_gate
 
     # the working set's columns; their Gram is formed for the first face
@@ -912,7 +888,7 @@ def fit(
             # a face of n columns or more waits until its signs settle
             face_step(b_work)
     if report is None:
-        # no gate ran on the final beta
+        # no certificate was made for the final beta
         report = report_kkt()
     degenerate = False
     if lam1 == 0.0 and lam2 == 0.0:
@@ -938,12 +914,16 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     ball of radius ``lambda1 * w`` (its sup norm when that radius is zero).
     All entries vanish exactly at an optimum.
 
+    An entry at a zero, a block's or a coordinate's of an active block, is
+    0 exactly when its zero test or entry test passes, so the report is
+    :func:`fit`'s stop certificate.
+
     The gradient is ``X'r`` at the residual that :func:`fit` forms for
     ``beta``, taken from the problem's shared :class:`_BlockCache` when one
-    is set: inside a fit or a path, a report on the coefficients of the last
-    screen forms no residual, product or zero-test excess of its own. The
-    active blocks' residuals are formed on their own columns only, so a
-    sparse report makes no pass over every column beyond finding them.
+    is set: inside a fit or a path, a report on coefficients whose residual
+    or product the cache holds forms neither again. The active blocks'
+    residuals are formed on their own columns only, so a sparse report
+    makes no pass over every column beyond finding them.
     """
     b = problem.coefficients(beta).beta
     peaks = _group_norms(problem, b, np.inf)
@@ -956,7 +936,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     # max |grad_g| - lambda2 (rounding is monotone, so that is the largest
     # shrunk magnitude bit for bit)
     if lam1 > 0.0:
-        per_group = np.maximum(cache.excess(grad, penalty), 0.0)
+        per_group = np.maximum(_zero_test_excess(problem, grad, penalty), 0.0)
     else:
         per_group = np.maximum(_group_norms(problem, grad, np.inf) - lam2, 0.0)
     # active blocks, on their own columns only, whose groups' segments

@@ -167,8 +167,9 @@ def test_level_is_the_smallest_float_that_passes_the_screen(inputs, alpha):
         at_level = fit(prob, _split(alpha, level))
     below = float(np.nextafter(level, 0.0))
     assert level > 0.0
-    assert not solver_module._screen(prob, xty, _split(alpha, level)).any()
-    assert solver_module._screen(prob, xty, _split(alpha, below)).any()
+    excess = solver_module._zero_test_excess
+    assert not (excess(prob, xty, _split(alpha, level)) > 0).any()
+    assert (excess(prob, xty, _split(alpha, below)) > 0).any()
     assert at_level.coefficients.n_nonzero == 0 and at_level.converged
 
 
@@ -376,11 +377,11 @@ def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
 
 def test_a_path_forms_one_gradient_per_screen(monkeypatch):
     # X'r is formed at most once per residual: a level's warm start takes
-    # the product of the level before's last screen, a converged level's
-    # KKT report takes its own last screen's, and a screen after a sweep
-    # that moved nothing since the last one (a face step's point that
-    # failed a sweep's stop tests, say) takes that one's
-    calls, in_kkt = [], []
+    # the product of the level before's last stop, each stop forms its
+    # product inside its KKT report, and a stop after a sweep that moved
+    # nothing since the last one (a face step's point that failed the stop
+    # certificate, say) takes that one's
+    calls, in_kkt, reports, results = [], [], [], []
     gradient, kkt, fit_level = (
         solver_module._BlockCache.gradient, solver_module.kkt_residual, path_module.fit
     )
@@ -394,12 +395,15 @@ def test_a_path_forms_one_gradient_per_screen(monkeypatch):
 
     def counted_fit(*args, **kwargs):
         calls.append([])
-        return fit_level(*args, **kwargs)
+        reports.append([])
+        results.append(fit_level(*args, **kwargs))
+        return results[-1]
 
     def counted_kkt(*args):
         in_kkt.append(True)
         try:
-            return kkt(*args)
+            reports[-1].append(kkt(*args))
+            return reports[-1][-1]
         finally:
             in_kkt.pop()
 
@@ -414,11 +418,14 @@ def test_a_path_forms_one_gradient_per_screen(monkeypatch):
     assert len(calls) == 8
     # the first level, at lambda_max, screens the cached X'y throughout
     assert not any(formed for _, formed, _ in calls[0])
-    for level in calls[1:]:
-        (kind, formed, _), *stops, report = level
+    for level, made, fitted in zip(calls[1:], reports[1:], results[1:]):
+        (kind, formed, _), *stops = level
+        # a level's start forms no product
         assert (kind, formed) == ("screen", False)
-        assert report[:2] == ("kkt", False)
-        assert any(kind == "screen" and formed for kind, formed, _ in stops)
+        assert stops and all(kind == "kkt" for kind, _, _ in stops)
+        assert any(formed for _, formed, _ in stops)
+        # one report per stop, and none follows the passing one
+        assert len(made) == len(stops) and fitted.kkt is made[-1]
     # a product is formed exactly when the residual is new, and no
     # residual's product is formed twice
     seen = [prob.y.tobytes()]
@@ -472,26 +479,6 @@ def test_a_remembered_residual_survives_changes_to_its_copies():
     moved = cache.residual(beta)
     assert moved.tobytes() == solver_module._BlockCache(prob).residual(beta).tobytes()
     assert moved.tobytes() != kept_res
-
-
-def test_a_remembered_excess_is_per_product_and_penalty():
-    prob = _small_wide_problem()
-    cache = solver_module._BlockCache(prob)
-    lmax = lambda_max(prob, 0.5)
-    high, low = _split(0.5, 0.9 * lmax), _split(0.5, 0.3 * lmax)
-    excess = solver_module._zero_test_excess
-    xty = cache.gradient(prob.y.copy())
-    first = cache.excess(xty, high)
-    assert cache.excess(xty, high) is first and not first.flags.writeable
-    # a second penalty on the same X'r recomputes, and screens in more groups
-    screened = solver_module._screen(prob, xty, low, cache)
-    assert np.array_equal(screened, solver_module._screen(prob, xty, low))
-    assert screened.sum() > solver_module._screen(prob, xty, high).sum()
-    # a new X'r at the same penalty recomputes too
-    beta = np.zeros(prob.p)
-    beta[:5] = 1.0
-    xtr = cache.gradient(cache.residual(beta))
-    assert np.array_equal(cache.excess(xtr, low), excess(prob, xtr, low))
 
 
 def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():

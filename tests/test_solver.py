@@ -184,6 +184,55 @@ def test_block_and_all_group_zero_tests_decide_alike(weight_mode):
                 assert is_zero == (excess[ell] <= 0.0), (sizes, lam1, ell)
 
 
+@pytest.mark.parametrize("weight_mode", ["unit", "sqrt-size"])
+def test_kkt_report_and_zero_tests_decide_alike(weight_mode):
+    # fit's stop certificate reads the zero tests off the KKT report: on one
+    # X'r, a zero group's entry is positive exactly when its zero test
+    # fails, in both kernels, and a zero coordinate's inside a nonzero group
+    # exactly when |X_j'r| > lambda2; also at levels placed exactly on a
+    # group's shrunk norm over w or on some |X_j'r|, and one ulp below
+    rng = np.random.default_rng(48)
+    for _ in range(20):
+        sizes = [int(k) for k in rng.integers(1, 9, size=rng.integers(2, 8))]
+        prob = random_problem(rng, 15, sizes, weight_mode=weight_mode)
+        beta = rng.standard_normal(prob.p) * (rng.random(prob.p) < 0.6)
+        for sl in prob.slices:
+            if rng.random() < 0.4:
+                beta[sl] = 0.0
+        cache = solver_module._BlockCache(prob)
+        xtr = cache.gradient(cache.residual(beta))
+        nonzero = prob.active_groups(beta)
+        inside = np.repeat(nonzero, prob.group_sizes) & (beta == 0.0)
+        mags = np.abs(xtr)
+        lam2s = [0.0, float(rng.uniform(0.0, 1.0)) * float(mags.max())]
+        for j in rng.choice(prob.p, size=3, replace=False):
+            lam2s += [float(mags[j]), float(np.nextafter(mags[j], 0.0))]
+        for j in np.flatnonzero(inside)[:2]:
+            lam2s += [float(mags[j]), float(np.nextafter(mags[j], 0.0))]
+        for lam2 in lam2s:
+            norms = [
+                float(np.sqrt(np.add.reduceat(soft_threshold(xtr[sl], lam2) ** 2, [0])[0]))
+                for sl in prob.slices
+            ]
+            lam1s = [0.0, float(rng.uniform(0.0, 2.0)) * max(norms)]
+            for norm, w, held in zip(norms, prob.weights, nonzero):
+                if not held:
+                    lam1s += [norm / w, float(np.nextafter(norm / w, 0.0))]
+            for lam1 in lam1s:
+                pen = PenaltySpec(lam1, lam2)
+                with solver_module._sharing_block_cache(prob, cache):
+                    report = kkt_residual(prob, beta, pen)
+                excess = _zero_test_excess(prob, xtr, pen)
+                for ell in np.flatnonzero(~nonzero):
+                    sl, w = prob.slices[ell], float(prob.weights[ell])
+                    fails = bool(_block_prox(xtr[sl], lam1 * w, lam2).any())
+                    assert (report.per_group[ell] > 0.0) == (excess[ell] > 0.0), (lam1, lam2, ell)
+                    assert (excess[ell] > 0.0) == fails, (lam1, lam2, ell)
+                assert np.array_equal(report.per_coordinate[inside] > 0.0, mags[inside] > lam2)
+        # every report read the one X'r of the cache
+        assert cache.gradient(cache.residual(beta)) is xtr
+
+
 # ------------------------------------------------------------ one-column block
 
 def test_coordinate_lasso_closed_form_on_a_unit_column():
@@ -1280,9 +1329,10 @@ def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
 
 
 def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
-    # a warm-started fit forms X'r at its start and at each stop screen; the
-    # KKT report's residual is the last screen's, bit for bit, so it forms
-    # none, and a fit from zero screens X'y
+    # a warm-started fit forms X'r at its start, and each stop forms its
+    # own inside the KKT report that certifies it; the last such report is
+    # the fit's, with no second one after it, and a fit from zero screens
+    # X'y
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 12))
     y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
@@ -1290,7 +1340,7 @@ def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
     lam = lambda_max(prob, 0.5)
     warm = fit(prob, PenaltySpec(0.3 * lam, 0.3 * lam)).coefficients
     gradient, kkt = solver_module._BlockCache.gradient, solver_module.kkt_residual
-    calls, in_kkt = [], []
+    calls, in_kkt, reports = [], [], []
 
     def counted_gradient(cache, res):
         before = cache._xtr
@@ -1301,7 +1351,8 @@ def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
     def counted_kkt(*args):
         in_kkt.append(True)
         try:
-            return kkt(*args)
+            reports.append(kkt(*args))
+            return reports[-1]
         finally:
             in_kkt.pop()
 
@@ -1309,12 +1360,13 @@ def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
     monkeypatch.setattr(solver_module, "kkt_residual", counted_kkt)
     for start in (warm, None):
         calls.clear()
+        reports.clear()
         result = fit(prob, PenaltySpec(0.2 * lam, 0.2 * lam), warm=start)
         assert result.converged
-        first, *stops, report = calls
+        first, *stops = calls
         assert first == (False, start is not None)
-        assert stops and all(not kind and formed for kind, formed in stops)
-        assert report == (True, False)
+        assert stops and all(kind and formed for kind, formed in stops)
+        assert len(reports) == len(stops) and result.kkt is reports[-1]
 
 
 def _degenerate_case(name):
@@ -1369,6 +1421,29 @@ def test_solver_options_validation():
         SolverOptions(inner_tol=-1e-9)
 
 
+def test_count_options_take_integers_only():
+    # a float count used to pass validation, then fail inside fit or
+    # fit_oracle (range of a float) or, as n_points, fit a truncated grid
+    makers = {
+        "max_sweeps": lambda v: SolverOptions(max_sweeps=v),
+        "max_iters": lambda v: OracleOptions(max_iters=v),
+        "n_points": lambda v: PathSpec(n_points=v),
+    }
+    for field, make in makers.items():
+        for bad in (2.5, 1e3, 3.7, "3", None):
+            with pytest.raises(ValueError, match=field):
+                make(bad)
+        for good in (3, np.int64(3), np.int32(3)):
+            assert getattr(make(good), field) == 3
+    # numpy integers run end to end
+    rng = np.random.default_rng(41)
+    prob = build_problem(rng.standard_normal(20), rng.standard_normal((20, 4)), [2, 2])
+    path = fit_path(prob, PathSpec(n_points=np.int64(3)), SolverOptions(max_sweeps=np.int64(50)))
+    assert len(path.points) == 3
+    ref = fit_oracle(prob, path.points[-1].penalty, OracleOptions(max_iters=np.int64(5)))
+    assert ref.iterations <= 5
+
+
 def _zero_test_passes(prob, res, pen, sl, w):
     # the block zero test written out for one group, independently of fit
     a = prob.X[:, sl].T @ res
@@ -1384,20 +1459,20 @@ def test_fit_on_a_working_set_screens_out_every_zero_group(monkeypatch):
     prob = random_problem(rng, 60, sizes, sparsity=0.05)
     lmax = lambda_max(prob, 0.5)
     pen = PenaltySpec(0.25 * lmax, 0.25 * lmax)
-    screens = []
-    screen = solver_module._screen
+    masks = []
+    working_set = solver_module._BlockCache.working_set
 
-    def recorded_screen(*args):
-        screens.append(screen(*args))
-        return screens[-1]
+    def recorded_working_set(cache, work):
+        masks.append(work.copy())
+        return working_set(cache, work)
 
-    monkeypatch.setattr(solver_module, "_screen", recorded_screen)
+    monkeypatch.setattr(solver_module._BlockCache, "working_set", recorded_working_set)
     result = fit(prob, pen, SolverOptions(outer_tol=1e-9))
     assert result.converged
     # on this draw a group passes the first screen but joins the working set
-    # at a later one, once the fit has moved the residual (the final screen
+    # at a later stop, once the fit has moved the residual (the final stop
     # reads that group, active by then, on its zero test's boundary)
-    assert any((later & ~screens[0]).any() for later in screens[1:])
+    assert any((later & ~masks[0]).any() for later in masks[1:])
     beta = result.coefficients.beta
     active = prob.active_groups(beta)
     assert 0 < int(active.sum()) < prob.n_groups // 2
