@@ -79,7 +79,7 @@ class GroupedProblem:
             raise ValueError(f"y has {y.shape[0]} rows but X has {n}")
         if n < 1 or p < 1:
             raise ValueError("need at least one observation and one feature")
-        sizes = _frozen(np.array(self.group_sizes, dtype=int))
+        sizes = _frozen(_group_sizes(self.group_sizes))
         if sizes.ndim != 1 or sizes.size < 1:
             raise ValueError("group_sizes must be a nonempty vector")
         if (sizes < 1).any():
@@ -189,6 +189,15 @@ class FitResult:
         )
 
 
+def _group_sizes(group_sizes) -> np.ndarray:
+    # a fresh int array of the sizes; one that is not an integer is refused
+    # by name, where a cast would truncate it
+    sizes = np.asarray(group_sizes)
+    if sizes.size and sizes.dtype.kind not in "iu":
+        raise ValueError(f"group_sizes must be integers, got {group_sizes!r}")
+    return sizes.astype(int)
+
+
 def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "unit") -> GroupedProblem:
     """Center raw data and attach the group partition.
 
@@ -207,7 +216,7 @@ def build_problem(raw_y, raw_X, group_sizes: Sequence[int], weight_mode: str = "
         raise ValueError("need at least two observations to center")
     if not np.isfinite(y).all() or not np.isfinite(X).all():
         raise ValueError("non-finite values in raw input")
-    sizes = np.asarray(group_sizes, dtype=int)
+    sizes = _group_sizes(group_sizes)
     if weight_mode == "unit":
         weights = np.ones(sizes.size)
     elif weight_mode == "sqrt-size":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coefficients, GroupedProblem, PenaltySpec
+from .model import Coefficients, GroupedProblem, PenaltySpec, _segment_norms
 from .solver import SolverOptions, _block_cache, _sharing_block_cache, _shrink, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
@@ -94,7 +94,7 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     while gap.max() > 0.0:
         g = int(np.argmax(gap))
         shrunk = _shrink(grad[problem.slices[g]], alpha * lam)
-        slope = alpha * float(np.abs(shrunk).sum()) / float(np.linalg.norm(shrunk))
+        slope = alpha * float(np.abs(shrunk).sum()) / float(_segment_norms(shrunk)[0])
         slope += (1.0 - alpha) * float(problem.weights[g])
         lam = max(lam + float(gap[g]) / slope, float(np.nextafter(lam, np.inf)))
         gap = excess(lam)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -19,6 +20,13 @@ __all__ = [
     "coef_misclassification",
     "write_dataset",
 ]
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    # a cast would truncate a value that is not an integer: refuse it by name
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{name} must hold integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
-        counts = tuple(int(c) for c in self.nonzero_counts)
+        for name in ("n", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        blocks = _integers("blocks", self.blocks)
+        counts = _integers("nonzero_counts", self.nonzero_counts)
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be a nonempty list of positive sizes")
         if len(counts) > len(blocks):
@@ -53,7 +64,7 @@ class SimConfig:
                 raise ValueError(
                     f"block {ell + 1} has size {size} but nonzero count {count}"
                 )
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")

@@ -8,19 +8,20 @@ exact solve on a support and its signs: one eigendecomposition of the
 support's Gram matrix and Newton on a scalar secular equation, or, for a
 block without a group penalty (a lasso), a least-squares solve. Blocks
 outside the working set stay zero and are screened all at once whenever
-the working set settles. After each sweep that moves a coefficient, and at
-a warm start before the first sweep, a Newton step on the working set's
-sign face is tried (on a face of n columns or more, only once a sweep
-leaves every sign as the sweep before did), and when it does not lower
-the criterion, the same step stopped where it first zeroes a coordinate;
-either is kept only when it lowers the criterion. On a face of fewer than
-n columns, full steps that keep every sign follow one another. A fit
-stops by one rule: at a sweep, or at one of those steps, that moves
-nothing by more than its tolerance, when that point's KKT report, its one
-certificate, reads 0 at every zero group and every zero coordinate (each
-passes its zero test or entry test) and its worst violation is within the
-KKT gate. A fixed point of these rules is a global optimum of the convex
-criterion.
+the working set settles. Newton steps on the working set's sign face
+follow the sweeps: one at a warm start, before the first sweep, and after
+any sweep that does not end the fit, full steps each from the last while
+each keeps every sign and lowers the criterion (on a face of n columns or
+more, only once a sweep leaves every sign as the sweep before did); a full
+step that does not lower it is tried again stopped where it first zeroes
+a coordinate. A fit stops, converged, at a sweep or a full step that
+moves nothing by more than its tolerance, when that point's KKT report,
+its one certificate, reads 0 at every zero group and every zero
+coordinate (each passes its zero test or entry test) and its worst
+violation is within the KKT gate; and it stops, unconverged, at such a
+sweep that fails the certificate without lowering the criterion or
+bringing in a group. A fixed point of these rules is a global optimum of
+the convex criterion.
 """
 
 from __future__ import annotations
@@ -134,24 +135,13 @@ class KktReport:
 class SolverOptions:
     """Convergence controls for :func:`fit`.
 
-    A fit is declared converged at a sweep over its working set that moves
-    no coefficient by more than ``outer_tol``, or at a face step that moves
-    none by more than that and keeps every sign, when its point's
-    :class:`KktReport` certifies it: every all-zero group passes the zero
-    test, every zero coordinate of a nonzero group has
-    ``|X_j'r| <= lambda2``, and the worst first-order violation is at most
-    ``5 * outer_tol * max(1, ||X'y||_inf)``. A fit whose sweep moves
-    nothing by more than ``1e-4 * outer_tol`` while these tests fail, and
-    brings no group into its working set, stops there, reported as not
-    converged. ``max_sweeps`` caps the working-set sweeps, which are all
-    that ``FitResult.sweeps`` counts. Blocks are solved exactly, so
-    ``inner_tol`` is validated but changes no result.
-
-    No option controls the face steps that :func:`fit` tries at a warm
-    start and between sweeps. A point is kept only when its exact criterion
-    is strictly below the one it would replace, and none is tried after the
-    last allowed sweep, so a fit always returns the last sweep's output or
-    the point of a face step after it, which has the sweep's signs.
+    ``outer_tol`` is the move below which a sweep or a face step is quiet,
+    and it sets the KKT gate ``5 * outer_tol * max(1, ||X'y||_inf)`` that
+    the report of a quiet point must meet (:func:`fit` states its stop
+    rule). ``max_sweeps`` caps the working-set sweeps, which are all that
+    ``FitResult.sweeps`` counts; no face step follows the last one. Blocks
+    are solved exactly, so ``inner_tol`` is validated but changes no
+    result. No option controls the face steps.
     """
 
     outer_tol: float = 1e-7
@@ -666,54 +656,50 @@ def fit(
 
     Block coordinate descent converges at a linear rate that can be slow
     (near-interpolating designs with n < p, warm-started levels with every
-    group active), so each sweep that moves a coefficient by more than
-    ``outer_tol`` is followed by a Newton step on the sign face of the
-    working set's coefficients, their support and signs (see
+    group active), so Newton steps on the sign face of the working set's
+    coefficients, their support and signs, follow the sweeps (see
     :func:`_newton_step`; the Hessian-based steps of Zhang, Zhang, Sun &
-    Toh 2020). A face of n columns or more, whose Hessian is singular,
-    waits until a sweep leaves every working-set coefficient with the sign
-    (-1, 0 or +1) it had after the sweep before. A warm start tries one
-    step on its own face before the first sweep: the solution of a nearby
-    penalty carries its signs, and the step is the predictor of a homotopy
-    method (Osborne, Presnell & Turlach 2000). On a face the criterion is
-    smooth, and only its nonzero coefficients move, so every zero stays
-    exactly zero. When the full step is not kept, the step is tried once
-    more, stopped at the first coordinate whose sign it would flip, which
-    is set to exactly 0 (see :func:`_first_zero`); up to there the
-    criterion is the face's. The steps slice ``X_S'X_S`` from one
-    Gram of the working set's columns, formed at the first step on them
-    and kept while the working set holds.
+    Toh 2020). On a face the criterion is smooth, and only its nonzero
+    coefficients move, so every zero stays exactly zero. A full step that
+    is not kept is tried once more, stopped at the first coordinate whose
+    sign it would flip, which is set to exactly 0 (see :func:`_first_zero`);
+    up to there the criterion is the face's. A warm start tries one step on
+    its own face before the first sweep: the solution of a nearby penalty
+    carries its signs, and the step is the predictor of a homotopy method
+    (Osborne, Presnell & Turlach 2000). A trial is kept, with its residual
+    and its objective as the history's last entry, only when that exact
+    objective is strictly below the entry's, so a trial never raises the
+    history and a singular or non-finite solve changes nothing. The steps
+    slice ``X_S'X_S`` from one Gram of the working set's columns, formed at
+    the first step on them and kept while the working set holds.
 
-    On a face of fewer than n columns, full steps follow one another, each
-    from the last, while each is kept and keeps every sign, up to
-    ``_FACE_STEPS`` of them. A trial is kept, with its residual and its
-    objective as the sweep's history entry (the start's, at a warm start),
-    only when that exact objective is strictly below the entry's; so a
-    trial never raises the history, groups outside the working set stay
-    exactly zero, and a singular or non-finite solve changes nothing.
-
-    A fit stops by one rule. At a sweep that moves no coefficient by more
-    than ``outer_tol``, and at a full face step that keeps every sign and
+    After each sweep one rule decides. A sweep that moves no coefficient by
+    more than ``outer_tol`` makes the certificate of its point; the fit
+    stops, converged, when it passes, and stops, unconverged, when it fails
+    while the sweep did not lower the criterion and no group joined the
+    working set: the fit has stalled. Every other sweep but the last
+    allowed is followed by full face steps, each from the last, while each
+    is kept, keeps every sign and moves a coefficient by more than
+    ``outer_tol``, up to ``_FACE_STEPS``. One that keeps every sign and
     moves none by more than that (kept or not: that close to the face
-    minimizer its point need not read lower), it makes the KKT report of
-    the point it holds (:func:`kkt_residual`, on the fit's cache), its one
-    certificate, and reads a sweep's own tests from it: every all-zero
-    group, in the working set too, must pass the zero test (its entry is
-    0), and those outside that fail join the working set, which no other
-    test after the start enlarges; every zero coordinate of a nonzero group
-    must pass the entry test ``|X_j'r| <= lambda2`` of
-    :func:`_block_minimize` (its entry is 0); and the worst violation must
-    be within the KKT gate of :class:`SolverOptions`. When all pass, no
-    sweep could bring in a group or a coordinate, and the fit stops,
-    converged, with that report as its own and with that
-    sweep's or step's move as ``max_coef_delta``, so a step's point needs
-    no sweep to confirm it. Otherwise the sweeps go on, except after a
-    sweep that moved nothing by more than ``1e-4 * outer_tol`` and brought
-    no group in: the fit has stalled, and stops there, unconverged. No face
-    step is tried after a sweep that moves nothing beyond ``outer_tol`` or
-    after the last allowed sweep, so the returned ``beta`` is the last
-    sweep's output or the point of a face step after it, with the sweep's
-    signs and exact zeros. ``sweeps`` counts sweeps only.
+    minimizer its point need not read lower) makes the certificate, and the
+    fit stops, converged, when it passes, with that step's move as
+    ``max_coef_delta``. A face of n columns or more, whose Hessian is
+    singular, waits for its steps until a sweep leaves every working-set
+    coefficient with the sign (-1, 0 or +1) it had after the sweep before.
+    So the returned ``beta`` is the last sweep's output or the point of a
+    face step after it, which keeps every zero of the sweep exact.
+
+    The certificate is the KKT report of the point the fit holds
+    (:func:`kkt_residual`, on the fit's cache). It passes when every
+    all-zero group, in the working set too, passes the zero test (its entry
+    is 0), every zero coordinate of a nonzero group passes the entry test
+    ``|X_j'r| <= lambda2`` of :func:`_block_minimize` (its entry is 0), and
+    the worst violation is within the KKT gate of :class:`SolverOptions`;
+    then no sweep could bring in a group or a coordinate, and the fit
+    returns that report as its own. Failing zero
+    groups outside the working set join it, the one place after the start
+    where it grows.
 
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
     block Gram ``G``, built on the block's first nonzero visit, the
@@ -876,17 +862,18 @@ def fit(
             held = work_set
             converged = certified()
             # a stalled fit stops too, unconverged, unless groups just joined
-            if converged or (work_set is held and max_delta <= 1e-4 * opts.outer_tol):
+            if converged or (work_set is held and not history[-1] < history[-2]):
                 break
-        elif sweeps < opts.max_sweeps and np.count_nonzero(b_work) < problem.n:
-            # never after the last sweep: a fit returns a sweep's output
-            move = settle_face(b_work)
+        # never after the last sweep: a fit returns a sweep's output. A face
+        # of n columns or more waits until its signs settle
+        if sweeps < opts.max_sweeps and (
+            np.count_nonzero(b_work) < problem.n or signs_key == previous
+        ):
+            # certified() may have grown the working set
+            move = settle_face(beta[work_set.cols])
             if move is not None:
                 converged, max_delta = True, move
                 break
-        elif sweeps < opts.max_sweeps and signs_key == previous:
-            # a face of n columns or more waits until its signs settle
-            face_step(b_work)
     if report is None:
         # no certificate was made for the final beta
         report = report_kkt()
@@ -951,7 +938,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
         # first scaled by its largest magnitude so that a norm whose square
         # underflows still divides
         scaled = b_A / np.repeat(peaks[active], sizes)
-        norms = np.sqrt(np.add.reduceat(scaled * scaled, starts))
+        norms = _segment_norms(scaled, starts)
         radii = np.repeat(lam1 * problem.weights[active], sizes)
         stat = stat - radii * (scaled / np.repeat(norms, sizes))
     viol = np.where(

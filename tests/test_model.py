@@ -94,6 +94,22 @@ def test_build_problem_input_validation():
         build_problem(y, X, [2], weight_mode="standardize")
 
 
+def test_group_sizes_take_integers_only():
+    # a cast used to truncate [2.7, 1.2, 1] to groups [2, 1, 1] and fit
+    # them, and to refuse [2.5, 1.5] as summing to 3
+    rng = np.random.default_rng(5)
+    y, X = rng.standard_normal(10), rng.standard_normal((10, 4))
+    for bad in ([2.7, 1.2, 1], [2.5, 1.5], [2.0, 2.0], ["2", "2"], [True, True, True, True]):
+        with pytest.raises(ValueError, match="group_sizes"):
+            build_problem(y, X, bad)
+        with pytest.raises(ValueError, match="group_sizes"):
+            GroupedProblem(y=y - y.mean(), X=X - X.mean(axis=0), group_sizes=bad, weights=[1.0, 1.0])
+    for good in ([2, 2], (np.int64(3), 1), np.array([1, 3], dtype=np.int32)):
+        prob = build_problem(y, X, good)
+        assert prob.group_sizes.tolist() == [int(v) for v in good]
+        assert GroupedProblem(prob.y, prob.X, good, [1.0, 1.0]).group_sizes.tolist() == [int(v) for v in good]
+
+
 def test_grouped_problem_rejects_uncentered_or_bad_weights():
     y = np.array([-1.0, 0.0, 1.0])
     X = np.array([[-1.0], [0.0], [1.0]])

@@ -324,6 +324,19 @@ def test_objective_reads_what_each_path_level_reported():
             assert objective(prob, point.coefficients, point.penalty) == point.objective
 
 
+def test_a_path_on_a_scaled_design_converges_at_every_level():
+    # X * 1e6 scales each level's coefficients by 1e-6 and leaves its
+    # criterion; a stall read in coefficient units left four of these six
+    # levels unconverged
+    data = generate(SimConfig(seed=700))
+    spec, opts = PathSpec(n_points=6, ratio_min=0.01, mixing=0.5), SolverOptions(outer_tol=1e-5)
+    base = fit_path(build_problem(data.y, data.X, data.config.blocks), spec, opts)
+    scaled = fit_path(build_problem(data.y, 1e6 * data.X, data.config.blocks), spec, opts)
+    for point, ref in zip(scaled.points, base.points):
+        assert point.converged, point.lam
+        assert point.objective == pytest.approx(ref.objective, rel=1e-8)
+
+
 def test_path_lambdas_are_read_only():
     rng = np.random.default_rng(63)
     prob = random_problem(rng, 20, [2, 2])

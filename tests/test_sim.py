@@ -60,6 +60,19 @@ def test_config_rejects_bad_settings(kwargs):
         SimConfig(**kwargs)
 
 
+def test_config_takes_integers_only():
+    # a cast used to make n=30.7, seed=2.9, blocks=(5.9, 5) into 30, 2 and
+    # (5, 5) without a word
+    for field, bad in (("n", 30.7), ("seed", 2.9), ("seed", None), ("blocks", (5.9, 5)),
+                       ("nonzero_counts", (2.0, 1)), ("n", "30")):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: bad})
+    config = SimConfig(n=np.int64(30), seed=np.int32(2), blocks=(np.int64(5), 5),
+                       nonzero_counts=(np.int64(2), 1))
+    assert (config.n, config.seed, config.blocks, config.nonzero_counts) == (30, 2, (5, 5), (2, 1))
+    assert all(type(v) is int for v in (config.n, config.seed, *config.blocks))
+
+
 # ------------------------------------------------------------------ generate
 
 def test_generate_shapes_and_support():
