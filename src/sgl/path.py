@@ -113,11 +113,10 @@ def fit_path(
     PathPoint, not raised.
 
     The levels share what does not depend on the penalty: each block's Gram
-    matrix, the eigendecomposition of its Gram on the support of its last
-    face solve, and ``X'y``, formed once for :func:`lambda_max` and the KKT
-    gate's scale. So a Gram is built once per path and a block whose
-    support holds across sweeps and levels decomposes it once; each level's
-    result is the same as a lone :func:`fit` from the same warm start.
+    matrix and its largest eigenvalue, and ``X'y``, formed once for
+    :func:`lambda_max` and the KKT gate's scale. So a Gram is built and
+    decomposed once per path; each level's result is the same as a lone
+    :func:`fit` from the same warm start.
     """
     spec = spec or PathSpec()
     opts = opts or SolverOptions()

@@ -178,11 +178,10 @@ def write_dataset(dataset: SimDataset, out_dir) -> dict[str, str]:
     }
     with open(paths["data"], "w", newline="") as fh:
         csv.writer(fh).writerow(["y"] + names)
-        # the bytes csv.writer would write: a float's repr needs no quoting
-        fh.writelines(
-            ",".join(map(repr, row)) + "\r\n"
-            for row in np.column_stack([dataset.y, dataset.X]).tolist()
-        )
+        # the bytes csv.writer would write: a float's repr needs no quoting.
+        # Row by row, so no list of every value is ever held
+        for y_i, row in zip(dataset.y.tolist(), dataset.X):
+            fh.write(",".join(map(repr, [y_i] + row.tolist())) + "\r\n")
     with open(paths["groups"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["column", "group"])

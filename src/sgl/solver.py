@@ -3,18 +3,16 @@ penalty plus an elementwise one-norm penalty.
 
 The solver cycles over a working set of coefficient blocks. Each visit
 first runs a cheap exact test deciding whether the whole block is zero at
-the optimum. An active block is then minimized by active-set steps, each an
-exact solve on a support and its signs: one eigendecomposition of the
-support's Gram matrix and Newton on a scalar secular equation, or, for a
-block without a group penalty (a lasso), a least-squares solve. Blocks
-outside the working set stay zero and are screened all at once whenever
-the working set settles. Newton steps on the working set's sign face
-follow the sweeps: one at a warm start, before the first sweep, and after
-any sweep that does not end the fit, full steps each from the last while
-each keeps every sign and lowers the criterion (on a face of n columns or
-more, only once a sweep leaves every sign as the sweep before did); a full
-step that does not lower it is tried again stopped where it first zeroes
-a coordinate. A fit stops, converged, at a sweep or a full step that
+the optimum. An active block then takes one proximal-gradient step of
+length 1/L, with L the largest eigenvalue of the block's Gram matrix.
+Blocks outside the working set stay zero and are screened all at once
+whenever the working set settles. Newton steps on the working set's sign
+face follow the sweeps: one at a warm start, before the first sweep, and
+after any sweep that does not end the fit, a chain of steps each from
+the last point kept; a full step that does not lower the criterion is
+tried again stopped where it first zeroes a coordinate, and the chain
+goes on from whichever point is kept, on its new face when its signs
+changed. A fit stops, converged, at a sweep or a full step that
 moves nothing by more than its tolerance, when that point's KKT report,
 its one certificate, reads 0 at every zero group and every zero
 coordinate (each passes its zero test or entry test) and its worst
@@ -53,20 +51,11 @@ __all__ = [
     "kkt_residual",
 ]
 
-# The secular equation of a face solve takes at most 5 evaluations on the
-# benchmark's paths (paper draws 100-112 and 700-712, wide draws
-# 1300-1311); a solve that reaches the cap fails, and the block restarts
-# from the origin step
-_SECULAR_MAX_STEPS = 50
-# A block visit takes at most 8 active-set steps on those paths; this cap
-# only guards against a defect
-_BLOCK_MAX_STEPS = 500
-# Face steps in a row after a sweep, each from the last, number at most 5
-# on those paths; past this cap a sweep follows
+# A chain of face steps after a sweep, each from the last point kept,
+# reaches this cap in 72 of the 1,496 chains on the benchmark's paths
+# (paper draws 100-112 and 700-712, wide draws 1300-1311, at mixings 0,
+# 0.5 and 1); past it a sweep follows
 _FACE_STEPS = 10
-# Without a group term, a face direction whose curvature and pull are both
-# below this share of the face's scales is flat: both are rounding there
-_ROUNDING = 1e-12
 
 
 def soft_threshold(z, lam):
@@ -139,9 +128,10 @@ class SolverOptions:
     and it sets the KKT gate ``5 * outer_tol * max(1, ||X'y||_inf)`` that
     the report of a quiet point must meet (:func:`fit` states its stop
     rule). ``max_sweeps`` caps the working-set sweeps, which are all that
-    ``FitResult.sweeps`` counts; no face step follows the last one. Blocks
-    are solved exactly, so ``inner_tol`` is validated but changes no
-    result. No option controls the face steps.
+    ``FitResult.sweeps`` counts; no face step follows the last one. A
+    block visit takes one proximal-gradient step, which has no tolerance
+    of its own, so ``inner_tol`` is validated but changes no result. No
+    option controls the face steps.
     """
 
     outer_tol: float = 1e-7
@@ -155,29 +145,6 @@ class SolverOptions:
             raise ValueError(f"max_sweeps must be an integer of at least 1, got {self.max_sweeps!r}")
         if self.inner_tol is not None and not (self.inner_tol > 0.0):
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
-
-
-class _FaceSlot:
-    """One block's last face support and the eigendecomposition of its Gram
-    there, ``(support, mu, V)`` with ``mu`` clipped at 0.
-
-    A face solve on the same support reuses them and one on another support
-    replaces them, so a slot holds one decomposition at a time. It belongs
-    to one Gram matrix: the support alone is its key.
-    """
-
-    __slots__ = ("key", "support", "mu", "V")
-
-    def __init__(self):
-        self.key = None
-
-    def decompose(self, gram: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
-        key = (signs != 0.0).tobytes()
-        if key != self.key:
-            support = signs.nonzero()[0]
-            mu, V = np.linalg.eigh(gram[support][:, support])
-            self.key, self.support, self.mu, self.V = key, support, np.maximum(mu, 0.0), V
-        return self.support, self.mu, self.V
 
 
 class _Columns:
@@ -212,8 +179,8 @@ class _Columns:
 
 class _BlockCache:
     """What every fit of one problem can share, whatever its penalty: each
-    block's Gram and :class:`_FaceSlot`, built on the block's first nonzero
-    visit, so groups that never enter cost nothing; ``X'y``, which sets
+    block's Gram and its largest eigenvalue, built on the block's first
+    nonzero visit, so groups that never enter cost nothing; ``X'y``, which sets
     the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
     :func:`sgl.path.lambda_max`, the path's first level; the last residual
     that :meth:`residual` formed, with its coefficients; the last ``X'r``
@@ -221,15 +188,14 @@ class _BlockCache:
     map; and the :class:`_Columns` of the last residual's groups and of the
     last working set.
 
-    A block holds its Gram and at most one decomposition of a principal
-    submatrix of it, so the blocks hold at most about twice the Grams' sum
-    of k_g^2 floats; the two column sets hold at most two copies of ``X``
-    and the Gram of the working set's columns.
+    The blocks hold the Grams' sum of k_g^2 floats; the two column sets
+    hold at most two copies of ``X`` and the Gram of the working set's
+    columns.
     """
 
     def __init__(self, problem: GroupedProblem):
         self.problem = problem
-        self._blocks: list[tuple[np.ndarray, _FaceSlot] | None] = [None] * problem.n_groups
+        self._blocks: list[tuple[np.ndarray, float] | None] = [None] * problem.n_groups
         # the bytes of the last coefficients asked of residual, and their residual
         self._beta_key: bytes | None = None
         self._res: np.ndarray | None = None
@@ -240,12 +206,14 @@ class _BlockCache:
         self._support: _Columns | None = None
         self._work: _Columns | None = None
 
-    def block(self, ell: int) -> tuple[np.ndarray, _FaceSlot]:
-        """Block ``ell``'s Gram matrix and face slot."""
+    def block(self, ell: int) -> tuple[np.ndarray, float]:
+        """Block ``ell``'s Gram matrix and its largest eigenvalue, the
+        Lipschitz constant of the block's gradient."""
         entry = self._blocks[ell]
         if entry is None:
             Z = self.problem.X[:, self.problem.slices[ell]]
-            entry = self._blocks[ell] = (Z.T @ Z, _FaceSlot())
+            gram = Z.T @ Z
+            entry = self._blocks[ell] = (gram, float(np.linalg.eigvalsh(gram)[-1]))
         return entry
 
     @cached_property
@@ -382,176 +350,6 @@ def _first_zero(
     return out
 
 
-def _solve_on_support(
-    a0: np.ndarray, gram: np.ndarray, theta: np.ndarray, signs: np.ndarray,
-    lam1w: float, lam2: float, slot: _FaceSlot | None = None,
-) -> np.ndarray | None:
-    """The block minimizer on the face of ``signs``, free of their sign
-    constraints; ``theta``, a point of the face, seeds it.
-
-    On the support S of ``signs``, with their signs s, the one-norm term is
-    linear and the criterion smooth; its minimizer solves
-    ``(G_SS + t I) theta_S = a0_S - lam2 s`` with ``t = lam1w / ||theta_S||``.
-    With ``G_SS = V diag(mu) V'`` (``mu`` clipped at 0) and
-    ``w = V'(a0_S - lam2 s)``, ``sigma = 1 / t`` is the root of the secular
-    equation
-
-        F(sigma) = sum_i w_i^2 / (1 + mu_i sigma)^2 - lam1w^2 = 0,
-
-    and ``theta_S = V (sigma w / (1 + mu sigma))``. ``F`` is convex and
-    decreasing on ``sigma >= 0``; as for the trust-region step of Moré &
-    Sorensen (1983), Newton runs on ``1/sqrt(F + lam1w^2) - 1/lam1w``, which
-    has the same root and is concave and increasing, so from the warm start
-    ``||theta|| / lam1w`` it lands left of the root in at most one step and
-    then climbs to it monotonically, in few steps even where ``F`` flattens
-    like ``1/sigma^2``. When ``||w|| <= lam1w`` the minimizer is the origin.
-    Without a group term (``lam1w = 0``) sigma is infinite and the minimizer
-    is the face's least-squares solution ``V (w / mu)``; a direction whose
-    curvature and pull are both at rounding level, ``mu_i`` against the
-    largest ``mu`` and ``w_i`` against ``|a0_S| + lam2``, is flat, like the
-    difference of two duplicate columns, and the minimum-norm solution puts
-    nothing there. When the part ``w_0`` of ``w`` on the other null
-    directions ``V_0`` of ``G_SS`` has ``||w_0|| >= lam1w`` (``> 0`` without
-    a group term), there is no minimizer: the criterion falls at least at
-    rate ``||w_0|| - lam1w`` along ``V_0 w_0``, and the point returned is
-    where that ray from ``theta`` first zeroes a coordinate. Returns None
-    when it zeroes none or the secular equation reaches its cap.
-
-    The decomposition comes from ``slot``, the block's :class:`_FaceSlot`,
-    when its support is this one, and is computed and stored there
-    otherwise (in a fresh slot when none is given). ``eigh`` sees the same
-    matrix either way, so reuse changes no result.
-    """
-    support, mu, V = (_FaceSlot() if slot is None else slot).decompose(gram, signs)
-    s = signs[support]
-    a = a0[support]
-    w = V.T @ (a - lam2 * s)
-    out = np.zeros(theta.shape)
-    # eigh's mu ascends, so G_SS has a null direction only when mu[0] is 0
-    singular = mu[0] == 0.0
-    if lam1w == 0.0:
-        scales = np.abs(a) + lam2
-        rounding = _ROUNDING * math.sqrt(scales @ scales)
-        flat = (mu <= _ROUNDING * mu[-1]) & (np.abs(w) <= rounding)
-        null = (mu == 0.0) & ~flat if singular else None
-        if null is None or not np.count_nonzero(null):
-            out[support] = V[:, ~flat] @ (w[~flat] / mu[~flat])
-            return out
-    else:
-        pairs = list(zip(mu.tolist(), (w * w).tolist()))
-        target = lam1w * lam1w
-        # F falls from ||w||^2 at 0 to the weight of the null directions at
-        # infinity; a root needs the first above lam1w^2 and the second below
-        if sum(q for _, q in pairs) <= target:
-            return out
-        heavy = sum(q for m, q in pairs if m == 0.0) if singular else 0.0
-        null = mu == 0.0 if heavy >= target else None
-    if null is not None:
-        stop = _first_zero(theta[support], V[:, null] @ w[null], s)
-        if stop is None:
-            return None
-        out[support] = stop
-        return out
-    sigma = math.sqrt(float(theta @ theta)) / lam1w
-    for _ in range(_SECULAR_MAX_STEPS):
-        f, slope, scale = -target, 0.0, target
-        for m, q in pairs:
-            inv = 1.0 / (1.0 + m * sigma)
-            term = q * inv * inv
-            f += term
-            scale += term
-            slope -= 2.0 * m * term * inv
-        # below the evaluation noise of its terms F carries no sign
-        # information and sigma is resolved to machine precision
-        if abs(f) <= 4e-16 * scale:
-            break
-        if not slope < 0.0:
-            # every curved term underflowed: sigma ran off to infinity
-            return None
-        # the reciprocal form's Newton step is F's times
-        # 2 g^2 / (lam1w (lam1w + g)) with g^2 = F + lam1w^2, written so to
-        # avoid the cancellation in 1/g - 1/lam1w near the root
-        gsq = f + target
-        nxt = max(sigma - f / slope * (2.0 * gsq / (lam1w * (lam1w + math.sqrt(gsq)))), 0.0)
-        if abs(nxt - sigma) <= 4e-16 * sigma:
-            sigma = nxt
-            break
-        sigma = nxt
-    else:
-        return None
-    out[support] = V @ (w * (sigma / (1.0 + sigma * mu)))
-    return out
-
-
-def _block_minimize(
-    a0: np.ndarray, gram: np.ndarray, theta0: np.ndarray, prox: np.ndarray,
-    lam1w: float, lam2: float, slot: _FaceSlot | None = None,
-) -> np.ndarray:
-    """Minimize the criterion over one block whose zero test fails, the rest
-    of the fit fixed.
-
-    Works entirely in block coordinates: ``a0`` is the block columns against
-    the block partial residual at theta = 0, ``gram`` the block's Gram
-    matrix, which together determine the criterion's restriction up to a
-    constant, and ``prox`` the :func:`_block_prox` of ``a0``.
-
-    This is the active-set method of Osborne, Presnell & Turlach (2000) for
-    the lasso, carried to the block; a block without a group term
-    (``lam1w = 0``) is a lasso. Each step solves the block exactly on a
-    face, a support and its signs (:func:`_solve_on_support`), first on the
-    face of ``theta0``. When the face minimizer flips a sign, the iterate
-    moves toward it to the first zero on the segment (:func:`_first_zero`)
-    and drops that coordinate: the criterion is the face's up to there,
-    convex along the segment, so the move descends. Otherwise the iterate
-    becomes the face minimizer, and the off-support coordinate with the
-    largest ``|(a0 - G theta)_j| > lam2`` joins the face with that
-    gradient's sign, which the next face minimizer keeps. When none is
-    left, the block's optimality conditions hold, so a warm start on the
-    optimum's face takes one face solve. A zero ``theta0`` starts at the
-    origin step, the exact minimizing step along ``prox`` (the
-    soft-thresholded gradient, a descent direction at the origin); a
-    support that empties or a failed face solve restarts there, once, and
-    at the origin itself when ``prox`` is zero (the zero test passes).
-    Every face solve goes through ``slot``, the block's :class:`_FaceSlot`.
-    """
-    theta = np.array(theta0, dtype=float)
-    signs = np.sign(theta)
-    can_restart = True
-    for _ in range(_BLOCK_MAX_STEPS):
-        face = None
-        if np.count_nonzero(signs):
-            face = _solve_on_support(a0, gram, theta, signs, lam1w, lam2, slot)
-        if face is None:
-            if not can_restart:
-                break
-            can_restart = False
-            norm = math.sqrt(prox @ prox)
-            if norm == 0.0:
-                return np.zeros(theta.shape)
-            # prox is (||S(a0, lam2)|| - lam1w) times the unit direction u:
-            # the minimizing step at unit curvature, rescaled to u'Gu
-            u = prox / norm
-            theta = prox / max(float(u @ gram @ u), 1e-300)
-            signs = np.sign(theta)
-            continue
-        # signs constrain a face only through the one-norm term; the sign
-        # test first keeps the common step, which flips none, cheap
-        flipped = lam2 > 0.0 and np.count_nonzero(np.sign(face) != signs) > 0
-        stop = _first_zero(theta, face - theta, signs, 1.0) if flipped else None
-        if stop is not None:
-            theta = stop
-            signs[theta == 0.0] = 0.0
-            continue
-        theta = face
-        grad = a0 - gram @ theta
-        off = np.where(signs == 0.0, np.abs(grad), 0.0)
-        j = int(off.argmax())
-        if off[j] <= lam2:
-            break
-        signs[j] = np.sign(grad[j])
-    return theta
-
-
 def _block_penalty(theta: np.ndarray, lam1w: float, lam2: float) -> float:
     # on Python floats: numpy's per-call overhead dwarfs a block's arithmetic.
     # For the same reason the hot path calls numpy at C level, where the
@@ -587,7 +385,7 @@ def _newton_step(
     largest are dropped. Where the gradient has a part ``g0`` on the
     dropped directions, the face's quadratic model falls linearly along
     ``-g0``, and the step runs on along it to the first coordinate it
-    zeroes, as the ray of :func:`_solve_on_support` does. None when the
+    zeroes (:func:`_first_zero`). None when the
     eigendecomposition fails too or the step is not finite.
     """
     face = b.nonzero()[0]
@@ -638,10 +436,12 @@ def fit(
     start plus those failing the exact zero test there. Each visit forms
     one block gradient against the block's partial residual, ``Z'r + G b``
     (``Z'r`` for a zero block), zeroes the block when the test allows it and
-    otherwise minimizes over the block by active-set steps from its current
-    support and signs, each an exact solve (see :func:`_block_minimize`),
-    with or without a group term. Every other group stays exactly zero. A
-    visit that changes the block by ``d`` accepts the change only when the
+    otherwise takes one proximal-gradient step from ``b``,
+    ``_block_prox(b + Z'r / L, lambda1 w / L, lambda2 / L)``, with ``L``
+    the largest eigenvalue of the block Gram ``G``, with or without a group
+    term (Ndiaye, Fercoq, Gramfort & Salmon 2016). Every other group stays
+    exactly zero. A visit that changes the block by ``d`` accepts the
+    change only when the
     criterion's exact change, ``Zd'(Zd/2 - r)`` plus the block penalty's
     change, is at most 1e-14 of the criterion's scale, and then updates the
     residual by ``-Zd``; so no accepted update raises the criterion beyond
@@ -659,52 +459,54 @@ def fit(
     group active), so Newton steps on the sign face of the working set's
     coefficients, their support and signs, follow the sweeps (see
     :func:`_newton_step`; the Hessian-based steps of Zhang, Zhang, Sun &
-    Toh 2020). On a face the criterion is smooth, and only its nonzero
-    coefficients move, so every zero stays exactly zero. A full step that
-    is not kept is tried once more, stopped at the first coordinate whose
-    sign it would flip, which is set to exactly 0 (see :func:`_first_zero`);
-    up to there the criterion is the face's. A warm start tries one step on
-    its own face before the first sweep: the solution of a nearby penalty
-    carries its signs, and the step is the predictor of a homotopy method
-    (Osborne, Presnell & Turlach 2000). A trial is kept, with its residual
-    and its objective as the history's last entry, only when that exact
-    objective is strictly below the entry's, so a trial never raises the
-    history and a singular or non-finite solve changes nothing. The steps
-    slice ``X_S'X_S`` from one Gram of the working set's columns, formed at
-    the first step on them and kept while the working set holds.
+    Toh 2020), as a working-set solver pairs cheap block steps with a fast
+    local method (Bertrand, Klopfenstein, Massias et al. 2022). On a face
+    the criterion is smooth, and only its nonzero coefficients move, so
+    every zero stays exactly zero. A full step that is not kept is tried
+    once more, stopped at the first coordinate whose sign it would flip,
+    which is set to exactly 0 (see :func:`_first_zero`); up to there the
+    criterion is the face's. A warm start tries one step on its own face
+    before the first sweep: the solution of a nearby penalty carries its
+    signs, and the step is the predictor of a homotopy method (Osborne,
+    Presnell & Turlach 2000). A trial is kept, with its residual and its
+    objective as the history's last entry, only when that exact objective
+    is not above the entry's, so a trial never raises the history and a
+    singular or non-finite solve changes nothing; a tie is kept because
+    near the optimum a step's gain falls below the objective's rounding.
+    The steps slice ``X_S'X_S`` from one Gram of the working set's
+    columns, formed at the first step on them and kept while the working
+    set holds.
 
     After each sweep one rule decides. A sweep that moves no coefficient by
     more than ``outer_tol`` makes the certificate of its point; the fit
     stops, converged, when it passes, and stops, unconverged, when it fails
     while the sweep did not lower the criterion and no group joined the
     working set: the fit has stalled. Every other sweep but the last
-    allowed is followed by full face steps, each from the last, while each
-    is kept, keeps every sign and moves a coefficient by more than
-    ``outer_tol``, up to ``_FACE_STEPS``. One that keeps every sign and
-    moves none by more than that (kept or not: that close to the face
-    minimizer its point need not read lower) makes the certificate, and the
-    fit stops, converged, when it passes, with that step's move as
-    ``max_coef_delta``. A face of n columns or more, whose Hessian is
-    singular, waits for its steps until a sweep leaves every working-set
-    coefficient with the sign (-1, 0 or +1) it had after the sweep before.
-    So the returned ``beta`` is the last sweep's output or the point of a
-    face step after it, which keeps every zero of the sweep exact.
+    allowed is followed by a chain of face steps, on any face, each from
+    the point the last one kept, on that point's face: a kept step that
+    changes signs, the full step or the one stopped at its first zero,
+    carries the chain on to its new face. The chain ends at a step that
+    keeps nothing, at ``_FACE_STEPS``, or at a full step that keeps every
+    sign and moves no coefficient by more than ``outer_tol`` (kept or not:
+    that close to the face minimizer its point need not read lower), which
+    makes the certificate; the fit stops, converged, when it passes, with
+    that step's move as ``max_coef_delta``. So the returned ``beta`` is the
+    last sweep's output or the point of a face step after it, which keeps
+    every zero of the sweep exact.
 
     The certificate is the KKT report of the point the fit holds
     (:func:`kkt_residual`, on the fit's cache). It passes when every
     all-zero group, in the working set too, passes the zero test (its entry
     is 0), every zero coordinate of a nonzero group passes the entry test
-    ``|X_j'r| <= lambda2`` of :func:`_block_minimize` (its entry is 0), and
-    the worst violation is within the KKT gate of :class:`SolverOptions`;
-    then no sweep could bring in a group or a coordinate, and the fit
-    returns that report as its own. Failing zero
-    groups outside the working set join it, the one place after the start
-    where it grows.
+    ``|X_j'r| <= lambda2`` (its entry is 0), and the worst violation is
+    within the KKT gate of :class:`SolverOptions`; then no sweep could
+    bring in a group or a coordinate, and the fit returns that report as
+    its own. Failing zero groups outside the working set join it, the one
+    place after the start where it grows.
 
     What does not depend on the penalty sits in a :class:`_BlockCache`: the
-    block Gram ``G``, built on the block's first nonzero visit, the
-    eigendecomposition of ``G`` on the support of the block's last face
-    solve, reused while that support holds, ``X'y`` for the gate's scale
+    block Gram ``G`` and its largest eigenvalue ``L``, built on the block's
+    first nonzero visit, ``X'y`` for the gate's scale
     ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
     working set's columns and their Gram, kept while the working set holds,
     and the last residual and ``X'r`` it formed, each with what it was
@@ -737,9 +539,9 @@ def fit(
     # the same products as Python floats, for the sweep's block visits
     block_lam1w = group_lam1w.tolist()
 
-    def keep_if_lower(trial: np.ndarray | None) -> bool:
+    def keep_unless_higher(trial: np.ndarray | None) -> bool:
         # keep a trial of the working set's coefficients only when its exact
-        # objective is strictly below the history's last entry
+        # objective is not above the history's last entry
         nonlocal beta, res
         if trial is None:
             return False
@@ -748,7 +550,7 @@ def fit(
         with np.errstate(all="ignore"):
             trial_res = cache.residual(trial_beta, work_set.holding(trial))
             trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
-        if not trial_obj < history[-1]:
+        if not trial_obj <= history[-1]:
             return False
         beta, res, history[-1] = trial_beta, trial_res, trial_obj
         return True
@@ -760,10 +562,12 @@ def fit(
             return kkt_residual(problem, beta, penalty)
 
     def face_step(b_work: np.ndarray) -> float | None:
-        # the Newton step on the face of b_work, then that step stopped at
-        # its first sign change. Returns the move of a full step that keeps
-        # every sign, when it is kept or moves nothing by more than
-        # outer_tol (below rounding, its point need not read lower)
+        # the Newton step on the face of b_work, then, when it changes signs
+        # and is not kept, that step stopped at its first sign change.
+        # Returns the move of a full step that keeps every sign, when it is
+        # kept or moves nothing by more than outer_tol (below rounding, its
+        # point need not read lower); infinity when the point kept has other
+        # signs, so a chain goes on from its face; None when nothing is kept
         if not np.count_nonzero(b_work):
             return None
         trial = _newton_step(
@@ -771,18 +575,21 @@ def fit(
         )
         if trial is None:
             return None
-        full = keep_if_lower(trial)
-        if not full:
-            keep_if_lower(_first_zero(b_work, trial - b_work, np.sign(b_work), 1.0))
-        if np.count_nonzero(np.sign(trial) != np.sign(b_work)):
-            return None
+        signs = np.sign(b_work)
+        if np.count_nonzero(np.sign(trial) != signs):
+            kept = keep_unless_higher(trial) or keep_unless_higher(
+                _first_zero(b_work, trial - b_work, signs, 1.0)
+            )
+            return math.inf if kept else None
         move = float(np.maximum.reduce(np.abs(trial - b_work)))
-        return move if full or move <= opts.outer_tol else None
+        return move if keep_unless_higher(trial) or move <= opts.outer_tol else None
 
     def settle_face(b_work: np.ndarray) -> float | None:
-        # full face steps, each from the last, while they keep every sign;
-        # the move of the first that moves nothing by more than outer_tol,
-        # when the point the fit then holds passes the stop certificate
+        # a chain of face steps, each from the point the last one kept, on
+        # that point's face; it ends at a step that keeps nothing, and at
+        # the first full step that keeps every sign and moves nothing by
+        # more than outer_tol, whose move it returns when the point the fit
+        # then holds passes the stop certificate
         for _ in range(_FACE_STEPS):
             move = face_step(b_work)
             if move is None:
@@ -798,7 +605,7 @@ def fit(
         # when that zero's test passes. Every zero group must pass the zero
         # test (those outside the working set that fail join it, the one
         # place after the start), every zero coordinate of a nonzero group
-        # _block_minimize's entry test |X_j'r| <= lambda2, and the worst
+        # the entry test |X_j'r| <= lambda2, and the worst
         # violation the KKT gate
         nonlocal work, work_set, report
         report = report_kkt()
@@ -814,8 +621,6 @@ def fit(
     # step on them and kept while the working set holds
     work_set = cache.working_set(work)
     history = [_objective_from_residual(problem, res, beta, penalty)]
-    # the working set's signs after the last sweep
-    signs_key = None
     # a warm start carries the signs of a nearby optimum: step on its face
     # before the first sweep
     face_step(beta[work_set.cols])
@@ -830,26 +635,29 @@ def fit(
             sl = slices[ell]
             Z = X[:, sl]
             bl = beta[sl]
-            # the block gradient against the block's partial residual
-            a = Z.T @ res
+            # the block gradient against the block's partial residual, for
+            # the zero test
+            zr = Z.T @ res
             block = cache.block(ell) if np.count_nonzero(bl) else None
-            if block is not None:
-                a += block[0] @ bl
+            a = zr if block is None else zr + block[0] @ bl
             lam1w = block_lam1w[ell]
             new_bl = _block_prox(a, lam1w, lam2)
             if np.count_nonzero(new_bl):
-                gram, slot = block or cache.block(ell)
-                new_bl = _block_minimize(a, gram, bl, new_bl, lam1w, lam2, slot)
+                # the test fails: one proximal-gradient step from bl, along
+                # the smooth part's negative gradient Z'r = a - G bl
+                L = (block or cache.block(ell))[1]
+                new_bl = _block_prox(bl + zr / L, lam1w / L, lam2 / L)
             d = new_bl - bl
             if np.count_nonzero(d):
                 Zd = Z @ d
                 pen_old = _block_penalty(bl, lam1w, lam2)
                 pen_new = _block_penalty(new_bl, lam1w, lam2)
                 change = float(Zd @ (0.5 * Zd - res)) + pen_new - pen_old
-                # the update is the exact minimizer of its restriction, so a
-                # true rise is a pathology; but near a flat optimum genuine
-                # progress sits below the rounding of the criterion, and
-                # rejecting it would freeze the iterate early
+                # a prox step of length 1/L minimizes a majorizer of the
+                # block's restriction that touches it at bl, so a true rise
+                # is a pathology; but near a flat optimum genuine progress
+                # sits below the rounding of the criterion, and rejecting
+                # it would freeze the iterate early
                 if change <= 1e-14 * (1.0 + 0.5 * float(res @ res) + pen_old):
                     max_delta = max(max_delta, float(np.maximum.reduce(np.abs(d))))
                     beta[sl] = new_bl
@@ -857,18 +665,14 @@ def fit(
         b_work = beta[work_set.cols]
         res = cache.residual(beta, work_set.holding(b_work))
         history.append(_objective_from_residual(problem, res, beta, penalty))
-        previous, signs_key = signs_key, np.sign(b_work).tobytes()
         if max_delta <= opts.outer_tol:
             held = work_set
             converged = certified()
             # a stalled fit stops too, unconverged, unless groups just joined
             if converged or (work_set is held and not history[-1] < history[-2]):
                 break
-        # never after the last sweep: a fit returns a sweep's output. A face
-        # of n columns or more waits until its signs settle
-        if sweeps < opts.max_sweeps and (
-            np.count_nonzero(b_work) < problem.n or signs_key == previous
-        ):
+        # never after the last sweep: a fit returns a sweep's output
+        if sweeps < opts.max_sweeps:
             # certified() may have grown the working set
             move = settle_face(beta[work_set.cols])
             if move is not None:

@@ -231,6 +231,25 @@ def test_write_dataset_round_trips_through_loader(tmp_path):
         assert np.array_equal(loaded.data_positions, np.arange(100))
 
 
+def test_write_dataset_writes_csv_writer_bytes_row_by_row(tmp_path):
+    # data.csv is written one row at a time, never as one list of every
+    # value; its bytes are csv.writer's on a one-row draw, a one-column
+    # draw, signed zeros, subnormals, 17-digit values and exponents
+    for n, blocks in ((1, (3, 2)), (4, (1,)), (6, (2, 2))):
+        data = generate(SimConfig(seed=8, n=n, blocks=blocks, nonzero_counts=(1,)))
+        X = np.array(data.X)
+        X.flat[:4] = [-0.0, 5e-324, 0.1 + 0.2, -1.5e300][:X.size]
+        y = np.array(data.y)
+        y[0] = -0.0
+        draw = SimDataset(X=X, y=y, beta_true=data.beta_true, config=data.config)
+        paths = write_dataset(draw, tmp_path / f"n{n}")
+        with open(paths["data"], "rb") as fh:
+            written = fh.read()
+        # the rows after the header, whose names narrow with p
+        rows = written.split(b"\r\n", 1)[1]
+        assert rows == _csv_writer_data_file(draw).split(b"\r\n", 1)[1]
+
+
 def test_write_dataset_truth_file(tmp_path):
     data = generate(SimConfig(seed=6))
     paths = write_dataset(data, tmp_path / "out")
