@@ -16,7 +16,6 @@ from .model import (
 )
 from .oracle import OracleFit, OracleOptions, fit_oracle, prox_sgl
 from .path import PathPoint, PathResult, PathSpec, fit_path, lambda_max
-from .scalar_opt import BracketedMinimum, minimize_scalar
 from .sim import (
     SimConfig,
     SimDataset,
@@ -36,7 +35,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketedMinimum",
     "Coefficients",
     "FitResult",
     "GroupedProblem",
@@ -61,7 +59,6 @@ __all__ = [
     "kkt_residual",
     "lambda_max",
     "load_problem_csv",
-    "minimize_scalar",
     "objective",
     "predict",
     "prox_sgl",

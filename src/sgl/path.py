@@ -115,8 +115,10 @@ def fit_path(
     The levels share what does not depend on the penalty: each block's Gram
     matrix and its largest eigenvalue, and ``X'y``, formed once for
     :func:`lambda_max` and the KKT gate's scale. So a Gram is built and
-    decomposed once per path; each level's result is the same as a lone
-    :func:`fit` from the same warm start.
+    decomposed once per path, and a level's warm start takes the ``X'r``
+    of the level before's last KKT report, whose residual has the same
+    bits. Each level's result is the same as a lone :func:`fit` from the
+    same warm start.
     """
     spec = spec or PathSpec()
     opts = opts or SolverOptions()

@@ -159,7 +159,6 @@ class _Columns:
         self.cols = np.flatnonzero(np.repeat(groups, problem.group_sizes))
         self.X = problem.X if self.cols.size == problem.p else problem.X[:, self.cols]
         self._col_groups = col_groups
-        self._n_groups = problem.n_groups
 
     @cached_property
     def groups(self) -> np.ndarray:
@@ -169,21 +168,13 @@ class _Columns:
     def gram(self) -> np.ndarray:
         return self.X.T @ self.X
 
-    def holding(self, b: np.ndarray) -> np.ndarray:
-        """Mask of every group of the problem, true at the groups where
-        ``b``, coefficients of these columns, holds a nonzero."""
-        mask = np.zeros(self._n_groups, dtype=bool)
-        mask[self.groups[b != 0.0]] = True
-        return mask
-
 
 class _BlockCache:
     """What every fit of one problem can share, whatever its penalty: each
     block's Gram and its largest eigenvalue, built on the block's first
     nonzero visit, so groups that never enter cost nothing; ``X'y``, which sets
     the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
-    :func:`sgl.path.lambda_max`, the path's first level; the last residual
-    that :meth:`residual` formed, with its coefficients; the last ``X'r``
+    :func:`sgl.path.lambda_max`, the path's first level; the last ``X'r``
     that :meth:`gradient` formed, with its residual; the column-to-group
     map; and the :class:`_Columns` of the last residual's groups and of the
     last working set.
@@ -196,9 +187,6 @@ class _BlockCache:
     def __init__(self, problem: GroupedProblem):
         self.problem = problem
         self._blocks: list[tuple[np.ndarray, float] | None] = [None] * problem.n_groups
-        # the bytes of the last coefficients asked of residual, and their residual
-        self._beta_key: bytes | None = None
-        self._res: np.ndarray | None = None
         # the bytes of the last residual asked of gradient, and its X'r
         self._res_key: bytes | None = None
         self._xtr: np.ndarray | None = None
@@ -247,10 +235,9 @@ class _BlockCache:
         self._work = self._columns(self._work, work)
         return self._work
 
-    def residual(self, beta: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
+    def residual(self, beta: np.ndarray) -> np.ndarray:
         """``y - X_A beta_A``, with A the columns of the groups of ``beta``
-        that hold a nonzero (``active``, their mask, when the caller knows
-        it), as a fresh array.
+        that hold a nonzero, as a fresh array.
 
         Every residual of a fit and of :func:`kkt_residual` is formed here,
         so the same ``beta`` gives the same bits wherever it is formed, and
@@ -258,18 +245,11 @@ class _BlockCache:
         is nonzero the product is with ``X`` as it is; otherwise with a copy
         of the columns of A (none when ``beta`` is zero: then the residual
         has the bits of ``y``), kept while the next residual's groups are
-        the same. The last residual is kept with the bytes of its ``beta``,
-        so asking again for the same coefficients, as a fit's KKT report and
-        the next level's warm start do, forms no product; each call returns
-        its own copy, which the caller may change in place.
+        the same.
         """
-        key = beta.tobytes()
-        if key != self._beta_key:
-            if active is None:
-                active = _group_norms(self.problem, beta, np.inf) != 0.0
-            support = self._support = self._columns(self._support, active)
-            self._beta_key, self._res = key, self.problem.y - support.X @ beta[support.cols]
-        return self._res.copy()
+        active = _group_norms(self.problem, beta, np.inf) != 0.0
+        support = self._support = self._columns(self._support, active)
+        return self.problem.y - support.X @ beta[support.cols]
 
     def gradient(self, res: np.ndarray) -> np.ndarray:
         """``X'res``, read-only, formed only when ``res`` is not bit for bit
@@ -279,8 +259,8 @@ class _BlockCache:
         place since the call is a new one. A residual with the bits of ``y``
         takes :attr:`xty`: a fit from zero screens the very array that
         :func:`sgl.path.lambda_max` tests, so a fit at that level is
-        all-zero. A residual formed by :meth:`residual` from the same
-        coefficients has the same bits, so inside :func:`sgl.path.fit_path`
+        all-zero. :meth:`residual` forms the same bits from the same
+        coefficients on the same columns, so inside :func:`sgl.path.fit_path`
         the product that a level's last KKT report formed also serves the
         next level's warm start.
         """
@@ -509,13 +489,14 @@ def fit(
     first nonzero visit, ``X'y`` for the gate's scale
     ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
     working set's columns and their Gram, kept while the working set holds,
-    and the last residual and ``X'r`` it formed, each with what it was
-    formed from. So a fit forms one ``X'r`` per screen: one at its start
-    and one inside each stop's KKT report; a stop after a sweep that moved
-    nothing since the last one reuses its product. Each call makes a fresh
-    cache, except inside :func:`sgl.path.fit_path`, whose levels share
-    one, so that a level's warm start takes the residual and product of
-    the level before's last report; the results are the same either way.
+    and the last ``X'r`` it formed, with its residual. The same
+    coefficients give a residual of the same bits, so a fit forms one
+    ``X'r`` per screen: one at its start and one inside each stop's KKT
+    report; a stop after a sweep that moved nothing since the last one
+    reuses its product. Each call makes a fresh cache, except inside
+    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
+    warm start takes the product of the level before's last report; the
+    results are the same either way.
     Raises ``ValueError`` when the group norms of ``X'y``
     overflow, or when ``0 < max|X'y| < 2**-459``, where they underflow.
     """
@@ -532,7 +513,7 @@ def fit(
     kkt_gate = 5.0 * opts.outer_tol * cache.gate_scale
 
     active = _group_norms(problem, beta, np.inf) != 0.0
-    res = cache.residual(beta, active)
+    res = cache.residual(beta)
     work = active | (_zero_test_excess(problem, cache.gradient(res), penalty) > 0.0)
 
     group_lam1w = lam1 * problem.weights
@@ -548,7 +529,7 @@ def fit(
         trial_beta = np.zeros(p)
         trial_beta[work_set.cols] = trial
         with np.errstate(all="ignore"):
-            trial_res = cache.residual(trial_beta, work_set.holding(trial))
+            trial_res = cache.residual(trial_beta)
             trial_obj = _objective_from_residual(problem, trial_res, trial_beta, penalty)
         if not trial_obj <= history[-1]:
             return False
@@ -556,8 +537,8 @@ def fit(
         return True
 
     def report_kkt() -> KktReport:
-        # the public kkt_residual on this fit's cache, which holds the fit's
-        # last residual and forms X'r only for a residual it has not seen
+        # the public kkt_residual on this fit's cache, which forms X'r only
+        # for a residual it has not seen
         with _sharing_block_cache(problem, cache):
             return kkt_residual(problem, beta, penalty)
 
@@ -662,8 +643,7 @@ def fit(
                     max_delta = max(max_delta, float(np.maximum.reduce(np.abs(d))))
                     beta[sl] = new_bl
                     res -= Zd
-        b_work = beta[work_set.cols]
-        res = cache.residual(beta, work_set.holding(b_work))
+        res = cache.residual(beta)
         history.append(_objective_from_residual(problem, res, beta, penalty))
         if max_delta <= opts.outer_tol:
             held = work_set
@@ -711,8 +691,8 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
 
     The gradient is ``X'r`` at the residual that :func:`fit` forms for
     ``beta``, taken from the problem's shared :class:`_BlockCache` when one
-    is set: inside a fit or a path, a report on coefficients whose residual
-    or product the cache holds forms neither again. The active blocks'
+    is set: inside a fit or a path, a report whose residual's ``X'r`` the
+    cache holds forms no new product. The active blocks'
     residuals are formed on their own columns only, so a sparse report
     makes no pass over every column beyond finding them.
     """
@@ -720,7 +700,7 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     peaks = _group_norms(problem, b, np.inf)
     active = peaks != 0.0
     cache = _block_cache(problem)
-    grad = cache.gradient(cache.residual(b, active))
+    grad = cache.gradient(cache.residual(b))
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     # zero blocks: how far the soft-thresholded gradient sticks out of the
     # group's ball, the zero test's own excess; with no radius its sup norm,

@@ -6,7 +6,6 @@ import importlib
 import sgl
 
 PUBLIC = [
-    "BracketedMinimum",
     "Coefficients",
     "FitResult",
     "GroupedProblem",
@@ -31,7 +30,6 @@ PUBLIC = [
     "kkt_residual",
     "lambda_max",
     "load_problem_csv",
-    "minimize_scalar",
     "objective",
     "predict",
     "prox_sgl",
@@ -39,11 +37,11 @@ PUBLIC = [
     "write_dataset",
 ]
 
-LIBRARY_MODULES = ["model", "oracle", "path", "scalar_opt", "sim", "solver"]
+LIBRARY_MODULES = ["model", "oracle", "path", "sim", "solver"]
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 29
     assert sgl.__all__ == sorted(PUBLIC)
     for name in sgl.__all__:
         assert getattr(sgl, name) is not None, name

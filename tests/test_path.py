@@ -471,9 +471,10 @@ def test_a_remembered_gradient_is_never_stale():
     assert cache.gradient(zero) is not cache.gradient(-zero)
 
 
-def test_a_remembered_residual_survives_changes_to_its_copies():
-    # a sweep updates its residual in place (res -= Zd); the cache's own
-    # residual for those coefficients, and the X'r keyed to it, must not move
+def test_residuals_are_formed_afresh_and_their_changes_leave_the_gradient_alone():
+    # a sweep updates its residual in place (res -= Zd); each residual is a
+    # fresh array, the same coefficients give it the same bits again, and
+    # the X'r keyed to those bits must not move
     prob = _small_wide_problem()
     cache = solver_module._BlockCache(prob)
     beta = np.zeros(prob.p)
@@ -487,7 +488,7 @@ def test_a_remembered_residual_survives_changes_to_its_copies():
     again -= prob.X[:, 4]
     assert cache.residual(beta.copy()).tobytes() == kept_res
     assert cache.gradient(cache.residual(beta)) is xtr and xtr.tobytes() == kept_xtr
-    # coefficients changed in place after the call are new coefficients
+    # coefficients changed in place after the call give a new residual
     beta[2] += 1.0
     moved = cache.residual(beta)
     assert moved.tobytes() == solver_module._BlockCache(prob).residual(beta).tobytes()
@@ -495,10 +496,11 @@ def test_a_remembered_residual_survives_changes_to_its_copies():
 
 
 def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():
-    # the memos key on every bit: coefficients one ulp from the last ones
-    # get their own residual, X'r and excess inside a shared cache. They are
-    # the solution of a higher level, as at a warm start, so that groups
-    # outside it fail their zero test and their excess shows in the report
+    # the X'r memo keys on every bit of the residual: coefficients one ulp
+    # from the last ones get their own residual, X'r and excess inside a
+    # shared cache. They are the solution of a higher level, as at a warm
+    # start, so that groups outside it fail their zero test and their
+    # excess shows in the report
     prob = _small_wide_problem()
     lmax = lambda_max(prob, 0.5)
     pen = _split(0.5, 0.3 * lmax)
