@@ -9,17 +9,18 @@ Blocks outside the working set stay zero and are screened all at once
 whenever the working set settles. Newton steps on the working set's sign
 face follow the sweeps: one at a warm start, before the first sweep, and
 after any sweep that does not end the fit, a chain of steps each from
-the last point kept; a full step that does not lower the criterion is
-tried again stopped where it first zeroes a coordinate, and the chain
-goes on from whichever point is kept, on its new face when its signs
-changed. A fit stops, converged, at a sweep or a full step that
-moves nothing by more than its tolerance, when that point's KKT report,
-its one certificate, reads 0 at every zero group and every zero
-coordinate (each passes its zero test or entry test) and its worst
-violation is within the KKT gate; and it stops, unconverged, at such a
-sweep that fails the certificate without lowering the criterion or
-bringing in a group. A fixed point of these rules is a global optimum of
-the convex criterion.
+the last point kept; a full step that carries coordinates across the
+one-norm term's kink at zero is tried with every one of them at 0, then,
+when that does not lower the criterion, stopped where it first zeroes a
+coordinate, and the chain goes on from whichever point is kept, on its
+new face when its signs changed. A fit stops, converged, at a sweep or a
+full step that moves nothing by more than its tolerance, when that
+point's KKT report, its one certificate, reads 0 at every zero group and
+every zero coordinate (each passes its zero test or entry test) and its
+worst violation is within the KKT gate; and it stops, unconverged, at
+such a sweep that fails the certificate without lowering the criterion
+or bringing in a group. A fixed point of these rules is a global optimum
+of the convex criterion.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 # A chain of face steps after a sweep, each from the last point kept,
-# reaches this cap in 72 of the 1,496 chains on the benchmark's paths
+# reaches this cap in none of the 927 chains on the benchmark's paths
 # (paper draws 100-112 and 700-712, wide draws 1300-1311, at mixings 0,
 # 0.5 and 1); past it a sweep follows
 _FACE_STEPS = 10
@@ -442,17 +443,25 @@ def fit(
     Toh 2020), as a working-set solver pairs cheap block steps with a fast
     local method (Bertrand, Klopfenstein, Massias et al. 2022). On a face
     the criterion is smooth, and only its nonzero coefficients move, so
-    every zero stays exactly zero. A full step that is not kept is tried
-    once more, stopped at the first coordinate whose sign it would flip,
-    which is set to exactly 0 (see :func:`_first_zero`); up to there the
-    criterion is the face's. A warm start tries one step on its own face
-    before the first sweep: the solution of a nearby penalty carries its
-    signs, and the step is the predictor of a homotopy method (Osborne,
-    Presnell & Turlach 2000). A trial is kept, with its residual and its
-    objective as the history's last entry, only when that exact objective
-    is not above the entry's, so a trial never raises the history and a
-    singular or non-finite solve changes nothing; a tie is kept because
-    near the optimum a step's gain falls below the objective's rounding.
+    every zero stays exactly zero. A full step that carries coordinates
+    across zero, when ``lambda2 > 0`` puts a kink there, is not tried as it
+    stands: it is projected onto the orthant of its start's signs, every
+    crossing coordinate at exactly 0, as projected Newton methods for
+    bound constraints do (Bertsekas 1982; the orthant projection of
+    Andrew & Gao 2007), and when that point is not kept it is tried once
+    more, stopped at the first coordinate whose sign it would flip, which
+    is set to exactly 0 (see :func:`_first_zero`); up to there the
+    criterion is the face's. With ``lambda2 = 0`` a coordinate of an
+    active group has no kink at zero, so a crossing keeps the face and
+    the full step is tried as it stands. A warm start tries one step on
+    its own face before the first sweep: the solution of a nearby penalty
+    carries its signs, and the step is the predictor of a homotopy method
+    (Osborne, Presnell & Turlach 2000). A trial is kept, with its residual
+    and its objective as the history's last entry, only when that exact
+    objective is not above the entry's, so a trial never raises the
+    history and a singular or non-finite solve changes nothing; a tie is
+    kept because near the optimum a step's gain falls below the
+    objective's rounding.
     The steps slice ``X_S'X_S`` from one Gram of the working set's
     columns, formed at the first step on them and kept while the working
     set holds.
@@ -464,15 +473,15 @@ def fit(
     working set: the fit has stalled. Every other sweep but the last
     allowed is followed by a chain of face steps, on any face, each from
     the point the last one kept, on that point's face: a kept step that
-    changes signs, the full step or the one stopped at its first zero,
-    carries the chain on to its new face. The chain ends at a step that
-    keeps nothing, at ``_FACE_STEPS``, or at a full step that keeps every
-    sign and moves no coefficient by more than ``outer_tol`` (kept or not:
-    that close to the face minimizer its point need not read lower), which
-    makes the certificate; the fit stops, converged, when it passes, with
-    that step's move as ``max_coef_delta``. So the returned ``beta`` is the
-    last sweep's output or the point of a face step after it, which keeps
-    every zero of the sweep exact.
+    changes the face, the projected point or the one stopped at its first
+    zero, carries the chain on to its new face. The chain ends at a step
+    that keeps nothing, at ``_FACE_STEPS``, or at a full step that keeps
+    its face and moves no coefficient by more than ``outer_tol`` (kept or
+    not: that close to the face minimizer its point need not read lower),
+    which makes the certificate; the fit stops, converged, when it passes,
+    with that step's move as ``max_coef_delta``. So the returned ``beta``
+    is the last sweep's output or the point of a face step after it, which
+    keeps every zero of the sweep exact.
 
     The certificate is the KKT report of the point the fit holds
     (:func:`kkt_residual`, on the fit's cache). It passes when every
@@ -543,12 +552,16 @@ def fit(
             return kkt_residual(problem, beta, penalty)
 
     def face_step(b_work: np.ndarray) -> float | None:
-        # the Newton step on the face of b_work, then, when it changes signs
-        # and is not kept, that step stopped at its first sign change.
-        # Returns the move of a full step that keeps every sign, when it is
+        # the Newton step on the face of b_work; when it changes signs and
+        # lambda2 > 0, so that every coordinate has a kink at zero, its
+        # projection onto the face's orthant, every crossing coordinate at
+        # exactly 0, then, when that is not kept, the step stopped at its
+        # first sign change (with lambda2 = 0 a crossing keeps the face).
+        # Returns the move of a full step that keeps its face, when it is
         # kept or moves nothing by more than outer_tol (below rounding, its
-        # point need not read lower); infinity when the point kept has other
-        # signs, so a chain goes on from its face; None when nothing is kept
+        # point need not read lower); infinity when the point kept is on
+        # another face, so a chain goes on from there; None when nothing is
+        # kept
         if not np.count_nonzero(b_work):
             return None
         trial = _newton_step(
@@ -557,8 +570,10 @@ def fit(
         if trial is None:
             return None
         signs = np.sign(b_work)
-        if np.count_nonzero(np.sign(trial) != signs):
-            kept = keep_unless_higher(trial) or keep_unless_higher(
+        crossed = np.sign(trial) != signs
+        if lam2 > 0.0 and np.count_nonzero(crossed):
+            projected = np.where(crossed, 0.0, trial)
+            kept = keep_unless_higher(projected) or keep_unless_higher(
                 _first_zero(b_work, trial - b_work, signs, 1.0)
             )
             return math.inf if kept else None
@@ -568,7 +583,7 @@ def fit(
     def settle_face(b_work: np.ndarray) -> float | None:
         # a chain of face steps, each from the point the last one kept, on
         # that point's face; it ends at a step that keeps nothing, and at
-        # the first full step that keeps every sign and moves nothing by
+        # the first full step that keeps its face and moves nothing by
         # more than outer_tol, whose move it returns when the point the fit
         # then holds passes the stop certificate
         for _ in range(_FACE_STEPS):

@@ -521,7 +521,7 @@ def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():
 
 def test_a_path_forms_a_working_set_gram_once_while_the_set_holds(monkeypatch):
     # the levels of a path that keep one working set take their face steps
-    # on one Gram of its columns, 3 Grams for this path's 20 face steps; a
+    # on one Gram of its columns, 3 Grams for this path's 41 face steps; a
     # loop of lone fits forms one per level that steps, 7
     grams = []
     newton = solver_module._newton_step
