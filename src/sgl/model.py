@@ -60,6 +60,17 @@ class GroupedProblem:
     Immutable after construction; a single instance is safe to share across
     concurrent fits. ``X`` is stored Fortran-ordered so column access during
     coordinate descent is contiguous.
+
+    From its first fit, path, KKT report or objective on, and for as long
+    as it lives, a problem keeps what they can share whatever the penalty,
+    and all of them, concurrent ones too, share it:
+
+    - the Gram and largest eigenvalue of every block that was ever nonzero;
+    - ``X'y`` and the column-to-group map;
+    - the last ``X'r``, keyed by its residual's bytes;
+    - up to two column copies of ``X`` and the working set's Gram.
+
+    None of it changes a result.
     """
 
     y: np.ndarray
@@ -276,7 +287,7 @@ def _objective_from_residual(
 def objective(problem: GroupedProblem, beta, penalty: PenaltySpec) -> float:
     """Penalized criterion: half the residual sum of squares plus both penalty terms.
 
-    The residual is formed by the block cache's one formula,
+    The residual is formed by the problem's block cache's one formula,
     ``y - X_A beta_A`` with A the columns of the nonzero groups, as
     :func:`sgl.fit` forms it, so on a fit's coefficients this is the fit's
     reported objective bit for bit.

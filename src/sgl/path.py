@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Coefficients, GroupedProblem, PenaltySpec, _segment_norms
-from .solver import SolverOptions, _block_cache, _sharing_block_cache, _shrink, _zero_test_excess, fit
+from .solver import SolverOptions, _block_cache, _shrink, _zero_test_excess, fit
 
 __all__ = ["PathSpec", "PathPoint", "PathResult", "lambda_max", "fit_path"]
 
@@ -83,7 +83,7 @@ def lambda_max(problem: GroupedProblem, mixing: float) -> float:
     alpha = float(mixing)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
-    # inside fit_path, the array that the first level's screen tests
+    # the problem's cached X'y, the array that a fit from zero screens
     grad = _block_cache(problem).xty
 
     def excess(lam: float) -> np.ndarray:
@@ -112,42 +112,38 @@ def fit_path(
     the previous solution. Non-convergence at a level is recorded on its
     PathPoint, not raised.
 
-    The levels share what does not depend on the penalty: each block's Gram
-    matrix and its largest eigenvalue, and ``X'y``, formed once for
-    :func:`lambda_max` and the KKT gate's scale. So a Gram is built and
-    decomposed once per path, and a level's warm start takes the ``X'r``
-    of the level before's last KKT report, whose residual has the same
-    bits. Each level's result is the same as a lone :func:`fit` from the
-    same warm start.
+    Each level is a lone :func:`fit` from the level before's solution; what
+    they share is kept on the problem (see
+    :class:`~sgl.model.GroupedProblem`), so a level's warm start takes the
+    ``X'r`` of the level before's last KKT report.
     """
     spec = spec or PathSpec()
     opts = opts or SolverOptions()
     alpha = spec.mixing
     warm: Coefficients | None = None
     points: list[PathPoint] = []
-    with _sharing_block_cache(problem):
-        lmax = lambda_max(problem, alpha)
-        if lmax <= 0.0:
-            raise ValueError("response carries no signal: the all-zero level is 0")
-        exponents = np.linspace(0.0, 1.0, spec.n_points)
-        lambdas = lmax * spec.ratio_min**exponents
-        for lam in lambdas:
-            penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)
-            result = fit(problem, penalty, opts=opts, warm=warm)
-            warm = result.coefficients
-            points.append(
-                PathPoint(
-                    lam=float(lam),
-                    penalty=penalty,
-                    coefficients=result.coefficients,
-                    objective=result.objective,
-                    sweeps=result.sweeps,
-                    converged=result.converged,
-                    kkt_worst=result.kkt.worst_violation,
-                    n_active_groups=int(result.kkt.active.sum()),
-                    n_nonzero=result.coefficients.n_nonzero,
-                )
+    lmax = lambda_max(problem, alpha)
+    if lmax <= 0.0:
+        raise ValueError("response carries no signal: the all-zero level is 0")
+    exponents = np.linspace(0.0, 1.0, spec.n_points)
+    lambdas = lmax * spec.ratio_min**exponents
+    for lam in lambdas:
+        penalty = PenaltySpec(lambda1=(1.0 - alpha) * lam, lambda2=alpha * lam)
+        result = fit(problem, penalty, opts=opts, warm=warm)
+        warm = result.coefficients
+        points.append(
+            PathPoint(
+                lam=float(lam),
+                penalty=penalty,
+                coefficients=result.coefficients,
+                objective=result.objective,
+                sweeps=result.sweeps,
+                converged=result.converged,
+                kkt_worst=result.kkt.worst_violation,
+                n_active_groups=int(result.kkt.active.sum()),
+                n_nonzero=result.coefficients.n_nonzero,
             )
+        )
     return PathResult(
         lambdas=lambdas,
         points=tuple(points),

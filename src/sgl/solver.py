@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,26 +169,26 @@ class _Columns:
 
 
 class _BlockCache:
-    """What every fit of one problem can share, whatever its penalty: each
-    block's Gram and its largest eigenvalue, built on the block's first
-    nonzero visit, so groups that never enter cost nothing; ``X'y``, which sets
-    the scale ``max(1, ||X'y||_inf)`` of the KKT gate and, in
-    :func:`sgl.path.lambda_max`, the path's first level; the last ``X'r``
-    that :meth:`gradient` formed, with its residual; the column-to-group
-    map; and the :class:`_Columns` of the last residual's groups and of the
-    last working set.
+    """What every fit of one problem can share, whatever its penalty, kept
+    on the problem by :func:`_block_cache` (the problem's docstring says
+    what that holds): each block's Gram and its largest eigenvalue, built on
+    the block's first nonzero visit, so groups that never enter cost
+    nothing; ``X'y``, which sets the scale ``max(1, ||X'y||_inf)`` of the KKT
+    gate and, in :func:`sgl.path.lambda_max`, the path's first level; the
+    last ``X'r`` that :meth:`gradient` formed, with its residual's bytes;
+    the column-to-group map; and the :class:`_Columns` of the last
+    residual's groups and of the last working set.
 
-    The blocks hold the Grams' sum of k_g^2 floats; the two column sets
-    hold at most two copies of ``X`` and the Gram of the working set's
-    columns.
+    Each memo is one attribute, read once and written once per call, so
+    concurrent fits that share the cache never pair one call's key with
+    another's value.
     """
 
     def __init__(self, problem: GroupedProblem):
         self.problem = problem
         self._blocks: list[tuple[np.ndarray, float] | None] = [None] * problem.n_groups
         # the bytes of the last residual asked of gradient, and its X'r
-        self._res_key: bytes | None = None
-        self._xtr: np.ndarray | None = None
+        self._xtr: tuple[bytes, np.ndarray] | None = None
         # the columns of the last residual's groups and of the last working set
         self._support: _Columns | None = None
         self._work: _Columns | None = None
@@ -232,9 +230,9 @@ class _BlockCache:
 
     def working_set(self, work: np.ndarray) -> _Columns:
         """The columns of the groups of mask ``work`` and their Gram, kept
-        while the working set holds, across the levels of a path too."""
-        self._work = self._columns(self._work, work)
-        return self._work
+        while the working set holds, across the problem's fits too."""
+        work_set = self._work = self._columns(self._work, work)
+        return work_set
 
     def residual(self, beta: np.ndarray) -> np.ndarray:
         """``y - X_A beta_A``, with A the columns of the groups of ``beta``
@@ -261,50 +259,32 @@ class _BlockCache:
         takes :attr:`xty`: a fit from zero screens the very array that
         :func:`sgl.path.lambda_max` tests, so a fit at that level is
         all-zero. :meth:`residual` forms the same bits from the same
-        coefficients on the same columns, so inside :func:`sgl.path.fit_path`
-        the product that a level's last KKT report formed also serves the
-        next level's warm start.
+        coefficients on the same columns, so the product that a fit's last
+        KKT report formed also serves a warm start from its point, as at
+        the next level of a path.
         """
         key = res.tobytes()
-        if key != self._res_key:
-            if key == self.problem.y.tobytes():
-                xtr = self.xty
-            else:
-                xtr = self.problem.X.T @ res
-                xtr.setflags(write=False)
-            self._res_key, self._xtr = key, xtr
-        return self._xtr
+        held = self._xtr
+        if held is not None and held[0] == key:
+            return held[1]
+        if key == self.problem.y.tobytes():
+            xtr = self.xty
+        else:
+            xtr = self.problem.X.T @ res
+            xtr.setflags(write=False)
+        self._xtr = key, xtr
+        return xtr
 
     @cached_property
     def gate_scale(self) -> float:
         return max(1.0, float(np.abs(self.xty).max()))
 
 
-# the cache that the fits of one problem share inside _sharing_block_cache
-_shared_cache: ContextVar[_BlockCache | None] = ContextVar("_shared_cache", default=None)
-
-
-@contextmanager
-def _sharing_block_cache(problem: GroupedProblem, cache: _BlockCache | None = None):
-    """Let every :func:`fit` and :func:`kkt_residual` of ``problem`` inside
-    the ``with`` block share one :class:`_BlockCache`, ``cache`` or a fresh
-    one, as :func:`sgl.path.fit_path`'s levels and a fit's KKT report do.
-
-    The callers keep calling the public ``fit`` and ``kkt_residual`` (whose
-    bindings perfbench's tracer times), and a context variable keeps the
-    sharing to this thread or task and to this very problem.
-    """
-    token = _shared_cache.set(_BlockCache(problem) if cache is None else cache)
-    try:
-        yield
-    finally:
-        _shared_cache.reset(token)
-
-
 def _block_cache(problem: GroupedProblem) -> _BlockCache:
-    """The :class:`_BlockCache` shared for ``problem``, or a fresh one."""
-    cache = _shared_cache.get()
-    return cache if cache is not None and cache.problem is problem else _BlockCache(problem)
+    """``problem``'s :class:`_BlockCache`, made at its first use and kept in
+    its instance dict (the dataclass is frozen) for as long as it lives."""
+    held = vars(problem)
+    return held.get("_block_cache") or held.setdefault("_block_cache", _BlockCache(problem))
 
 
 def _first_zero(
@@ -484,28 +464,20 @@ def fit(
     keeps every zero of the sweep exact.
 
     The certificate is the KKT report of the point the fit holds
-    (:func:`kkt_residual`, on the fit's cache). It passes when every
-    all-zero group, in the working set too, passes the zero test (its entry
-    is 0), every zero coordinate of a nonzero group passes the entry test
+    (:func:`kkt_residual`). It passes when every all-zero group, in the
+    working set too, passes the zero test (its entry is 0), every zero
+    coordinate of a nonzero group passes the entry test
     ``|X_j'r| <= lambda2`` (its entry is 0), and the worst violation is
     within the KKT gate of :class:`SolverOptions`; then no sweep could
     bring in a group or a coordinate, and the fit returns that report as
     its own. Failing zero groups outside the working set join it, the one
     place after the start where it grows.
 
-    What does not depend on the penalty sits in a :class:`_BlockCache`: the
-    block Gram ``G`` and its largest eigenvalue ``L``, built on the block's
-    first nonzero visit, ``X'y`` for the gate's scale
-    ``max(1, ||X'y||_inf)`` and the first screen of a start from zero, the
-    working set's columns and their Gram, kept while the working set holds,
-    and the last ``X'r`` it formed, with its residual. The same
-    coefficients give a residual of the same bits, so a fit forms one
-    ``X'r`` per screen: one at its start and one inside each stop's KKT
-    report; a stop after a sweep that moved nothing since the last one
-    reuses its product. Each call makes a fresh cache, except inside
-    :func:`sgl.path.fit_path`, whose levels share one, so that a level's
-    warm start takes the product of the level before's last report; the
-    results are the same either way.
+    What does not depend on the penalty, ``G``, ``L``, ``X'y`` for the
+    gate's scale ``max(1, ||X'y||_inf)``, the working set's Gram and the
+    last ``X'r`` with its residual, is kept on the problem
+    (:class:`~sgl.model.GroupedProblem` says what and for how long), so a
+    fit forms ``X'r`` only for a residual no fit of it has seen.
     Raises ``ValueError`` when the group norms of ``X'y``
     overflow, or when ``0 < max|X'y| < 2**-459``, where they underflow.
     """
@@ -544,12 +516,6 @@ def fit(
             return False
         beta, res, history[-1] = trial_beta, trial_res, trial_obj
         return True
-
-    def report_kkt() -> KktReport:
-        # the public kkt_residual on this fit's cache, which forms X'r only
-        # for a residual it has not seen
-        with _sharing_block_cache(problem, cache):
-            return kkt_residual(problem, beta, penalty)
 
     def face_step(b_work: np.ndarray) -> float | None:
         # the Newton step on the face of b_work; when it changes signs and
@@ -604,7 +570,7 @@ def fit(
         # the entry test |X_j'r| <= lambda2, and the worst
         # violation the KKT gate
         nonlocal work, work_set, report
-        report = report_kkt()
+        report = kkt_residual(problem, beta, penalty)
         failing = (report.per_group > 0.0) & ~report.active
         if np.count_nonzero(failing & ~work):
             work |= failing
@@ -675,7 +641,7 @@ def fit(
                 break
     if report is None:
         # no certificate was made for the final beta
-        report = report_kkt()
+        report = kkt_residual(problem, beta, penalty)
     degenerate = False
     if lam1 == 0.0 and lam2 == 0.0:
         degenerate = int(np.linalg.matrix_rank(X)) < p
@@ -705,9 +671,9 @@ def kkt_residual(problem: GroupedProblem, beta, penalty: PenaltySpec) -> KktRepo
     :func:`fit`'s stop certificate.
 
     The gradient is ``X'r`` at the residual that :func:`fit` forms for
-    ``beta``, taken from the problem's shared :class:`_BlockCache` when one
-    is set: inside a fit or a path, a report whose residual's ``X'r`` the
-    cache holds forms no new product. The active blocks'
+    ``beta``, taken from the problem's :class:`_BlockCache`, so a report at
+    the residual of the problem's last screen, inside a fit or not, forms
+    no new product. The active blocks'
     residuals are formed on their own columns only, so a sparse report
     makes no pass over every column beyond finding them.
     """

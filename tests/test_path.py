@@ -1,6 +1,11 @@
 """Penalty grids, the all-zero level locator, and warm-started path fits."""
 
+import dataclasses
+import gc
+import sys
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -373,16 +378,16 @@ def _small_wide_problem():
     ],
 )
 def test_path_equals_a_loop_of_warm_started_fits(make, mixing):
-    # the levels of a path share one block cache (Grams, each block's last
-    # support decomposition, the KKT gate's scale, the last X'r and so each
-    # warm start's); a loop of public fits builds all of it afresh at every
-    # level, and must give the same bits
+    # the levels of a path share the problem's block cache (Grams, the KKT
+    # gate's scale, the last X'r and so each warm start's); a loop of fits,
+    # each on a freshly built equal problem, builds all of it afresh at
+    # every level, and must give the same bits
     prob = make()
     opts = SolverOptions(outer_tol=1e-5)
     result = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=mixing), opts)
     warm = None
     for lam, pt in zip(result.lambdas, result.points):
-        alone = fit(prob, _split(mixing, lam), opts, warm)
+        alone = fit(dataclasses.replace(prob), _split(mixing, lam), opts, warm)
         assert np.array_equal(alone.coefficients.beta, pt.coefficients.beta)
         assert alone.sweeps == pt.sweeps
         warm = alone.coefficients
@@ -400,9 +405,9 @@ def test_a_path_forms_one_gradient_per_screen(monkeypatch):
     )
 
     def counted_gradient(cache, res):
-        before = cache._xtr
+        held = cache._xtr
         out = gradient(cache, res)
-        formed = out is not before and out is not cache.xty
+        formed = (held is None or out is not held[1]) and out is not cache.xty
         calls[-1].append(("kkt" if in_kkt else "screen", formed, res.tobytes()))
         return out
 
@@ -495,12 +500,12 @@ def test_residuals_are_formed_afresh_and_their_changes_leave_the_gradient_alone(
     assert moved.tobytes() != kept_res
 
 
-def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():
+def test_cached_reports_equal_fresh_ones_one_ulp_away():
     # the X'r memo keys on every bit of the residual: coefficients one ulp
-    # from the last ones get their own residual, X'r and excess inside a
-    # shared cache. They are the solution of a higher level, as at a warm
-    # start, so that groups outside it fail their zero test and their
-    # excess shows in the report
+    # from the last ones get their own residual, X'r and excess in the
+    # problem's cache, as on a freshly built equal problem. They are the
+    # solution of a higher level, as at a warm start, so that groups
+    # outside it fail their zero test and their excess shows in the report
     prob = _small_wide_problem()
     lmax = lambda_max(prob, 0.5)
     pen = _split(0.5, 0.3 * lmax)
@@ -508,21 +513,23 @@ def test_shared_cache_reports_equal_fresh_ones_one_ulp_away():
     for j in np.flatnonzero(beta)[:3]:
         near = beta.copy()
         near[j] = np.nextafter(near[j], np.inf)
-        fresh_kkt = solver_module.kkt_residual(prob, near, pen)
-        fresh_objective = objective(prob, near, pen)
-        with solver_module._sharing_block_cache(prob):
-            solver_module.kkt_residual(prob, beta, pen)
-            objective(prob, beta, pen)
-            kkt = solver_module.kkt_residual(prob, near, pen)
-            assert objective(prob, near, pen) == fresh_objective
+        fresh = dataclasses.replace(prob)
+        fresh_kkt = solver_module.kkt_residual(fresh, near, pen)
+        fresh_objective = objective(fresh, near, pen)
+        solver_module.kkt_residual(prob, beta, pen)
+        objective(prob, beta, pen)
+        kkt = solver_module.kkt_residual(prob, near, pen)
+        assert objective(prob, near, pen) == fresh_objective
         assert kkt.per_group.tobytes() == fresh_kkt.per_group.tobytes()
         assert kkt.per_coordinate.tobytes() == fresh_kkt.per_coordinate.tobytes()
 
 
 def test_a_path_forms_a_working_set_gram_once_while_the_set_holds(monkeypatch):
-    # the levels of a path that keep one working set take their face steps
-    # on one Gram of its columns, 3 Grams for this path's 41 face steps; a
-    # loop of lone fits forms one per level that steps, 7
+    # the fits of one problem that keep one working set take their face
+    # steps on one Gram of its columns: 3 Grams for this path's 41 face
+    # steps, and 3 again for a loop of lone fits of its levels, where a
+    # fresh Gram per level that steps would be 7. A freshly built equal
+    # problem forms its own
     grams = []
     newton = solver_module._newton_step
 
@@ -530,13 +537,86 @@ def test_a_path_forms_a_working_set_gram_once_while_the_set_holds(monkeypatch):
         grams.append(args[-1])
         return newton(*args)
 
+    def distinct(held):
+        return {id(gram): gram for gram in held}
+
     monkeypatch.setattr(solver_module, "_newton_step", recorded)
     prob, opts = _sim_problem(), SolverOptions(outer_tol=1e-5)
     result = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
-    on_path = len({id(gram) for gram in grams})
+    on_path = distinct(grams)
     grams.clear()
     warm = None
     for pt in result.points:
+        last = warm
         warm = fit(prob, pt.penalty, opts, warm).coefficients
-    in_loop = len({id(gram) for gram in grams})
-    assert on_path <= 3 < in_loop
+    in_loop = distinct(grams)
+    assert len(on_path) <= 3 and len(in_loop) == 3
+    # the last level again, on this problem and on a fresh equal one
+    grams.clear()
+    fit(prob, result.points[-1].penalty, opts, last)
+    again = distinct(grams)
+    grams.clear()
+    fit(dataclasses.replace(prob), result.points[-1].penalty, opts, last)
+    fresh = distinct(grams)
+    assert again and set(again) <= set(in_loop)
+    assert not set(fresh) & set(in_loop)
+    assert [g.tobytes() for g in fresh.values()] == [g.tobytes() for g in again.values()]
+
+
+def _digest(result):
+    # every bit a fit or a path returns that a cache could move
+    if hasattr(result, "points"):
+        return (result.lambdas.tobytes(),) + tuple(
+            (pt.coefficients.beta.tobytes(), pt.objective, pt.sweeps, pt.converged, pt.kkt_worst)
+            for pt in result.points
+        )
+    return (
+        result.coefficients.beta.tobytes(), result.objective, result.sweeps, result.converged,
+        result.kkt.per_group.tobytes(), result.kkt.per_coordinate.tobytes(),
+        result.objective_history.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("make", [_sim_problem, _small_wide_problem])
+def test_the_block_cache_never_changes_a_result(make):
+    # fits and paths of one problem, interleaved at several mixings and
+    # penalties, with and without warm starts, share the problem's cache;
+    # each must give the bits of the same job on a freshly built equal
+    # problem, also when the jobs run at once on four threads
+    prob = make()
+    opts = SolverOptions(outer_tol=1e-5)
+    lmax = lambda_max(dataclasses.replace(prob), 0.5)
+    warm = fit(dataclasses.replace(prob), _split(0.5, 0.3 * lmax), opts).coefficients
+    jobs = [
+        lambda q: fit_path(q, PathSpec(n_points=6, ratio_min=0.01, mixing=0.5), opts),
+        lambda q: fit(q, _split(0.2, 0.25 * lmax), opts),
+        lambda q: fit(q, _split(0.5, 0.1 * lmax), opts, warm),
+        lambda q: fit_path(q, PathSpec(n_points=5, ratio_min=0.05, mixing=1.0), opts),
+        lambda q: fit(q, _split(0.0, 0.2 * lmax), opts, warm),
+        lambda q: fit(q, _split(0.5, 0.3 * lmax), opts, warm),
+        lambda q: fit_path(q, PathSpec(n_points=5, ratio_min=0.05, mixing=0.0), opts),
+        lambda q: fit(q, _split(0.95, 0.05 * lmax), opts),
+        lambda q: fit(q, _split(0.5, 0.1 * lmax), opts),
+    ]
+    fresh = [_digest(job(dataclasses.replace(prob))) for job in jobs]
+    assert [_digest(job(prob)) for job in jobs] == fresh
+    shared = dataclasses.replace(prob)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda job: _digest(job(shared)), jobs * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == fresh * 3
+
+
+def test_a_dropped_problem_is_freed():
+    # a problem and the block cache it keeps refer to each other; the cycle
+    # collector frees both once nothing else holds the problem
+    prob = _small_wide_problem()
+    fit_path(prob, PathSpec(n_points=4, ratio_min=0.1), SolverOptions(outer_tol=1e-5))
+    held = weakref.ref(prob), weakref.ref(solver_module._block_cache(prob))
+    del prob
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]

@@ -1,6 +1,7 @@
 """Coordinate-descent solver: zero screens, block updates, full fits, and
 first-order optimality reporting."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -200,7 +201,7 @@ def test_kkt_report_and_zero_tests_decide_alike(weight_mode):
         for sl in prob.slices:
             if rng.random() < 0.4:
                 beta[sl] = 0.0
-        cache = solver_module._BlockCache(prob)
+        cache = solver_module._block_cache(prob)
         xtr = cache.gradient(cache.residual(beta))
         nonzero = prob.active_groups(beta)
         inside = np.repeat(nonzero, prob.group_sizes) & (beta == 0.0)
@@ -221,8 +222,11 @@ def test_kkt_report_and_zero_tests_decide_alike(weight_mode):
                     lam1s += [norm / w, float(np.nextafter(norm / w, 0.0))]
             for lam1 in lam1s:
                 pen = PenaltySpec(lam1, lam2)
-                with solver_module._sharing_block_cache(prob, cache):
-                    report = kkt_residual(prob, beta, pen)
+                report = kkt_residual(prob, beta, pen)
+                # the problem's cache changes no bit of the report
+                alone = kkt_residual(dataclasses.replace(prob), beta, pen)
+                assert report.per_group.tobytes() == alone.per_group.tobytes()
+                assert report.per_coordinate.tobytes() == alone.per_coordinate.tobytes()
                 excess = _zero_test_excess(prob, xtr, pen)
                 for ell in np.flatnonzero(~nonzero):
                     sl, w = prob.slices[ell], float(prob.weights[ell])
@@ -230,7 +234,8 @@ def test_kkt_report_and_zero_tests_decide_alike(weight_mode):
                     assert (report.per_group[ell] > 0.0) == (excess[ell] > 0.0), (lam1, lam2, ell)
                     assert (excess[ell] > 0.0) == fails, (lam1, lam2, ell)
                 assert np.array_equal(report.per_coordinate[inside] > 0.0, mags[inside] > lam2)
-        # every report read the one X'r of the cache
+        # every report read the one X'r of the problem's cache
+        assert solver_module._block_cache(prob) is cache
         assert cache.gradient(cache.residual(beta)) is xtr
 
 
@@ -485,9 +490,10 @@ def test_first_zero_keeps_every_other_sign():
 
 def test_path_decomposes_each_block_once(monkeypatch):
     # a block's Gram and its largest eigenvalue, which sets the length of
-    # its prox steps, are the same at every level of a path: one eigvalsh
-    # per block per path (10 on this path), against one per block per level
-    # when each level's fit starts a cache of its own (63)
+    # its prox steps, do not depend on the penalty: one eigvalsh per block
+    # in the life of a problem (10 on this draw), across a path, lone fits
+    # of its every level and a path at another mixing, and a freshly built
+    # equal problem decomposes its own
     eigvalsh = np.linalg.eigvalsh
     calls = []
 
@@ -499,17 +505,17 @@ def test_path_decomposes_each_block_once(monkeypatch):
     data = generate(SimConfig(seed=1))
     prob = build_problem(data.y, data.X, data.config.blocks)
     opts = SolverOptions(outer_tol=1e-5)
-    path = fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.5), opts)
-    on_path = len(calls)
+    spec = PathSpec(n_points=8, ratio_min=0.01, mixing=0.5)
+    path = fit_path(prob, spec, opts)
     # every group enters at some level of this path
-    assert on_path == prob.n_groups
-    # the path's cache does not outlive it, and lone fits share nothing
-    assert solver_module._shared_cache.get() is None
-    calls.clear()
+    assert len(calls) == prob.n_groups
     warm = None
     for pt in path.points:
         warm = fit(prob, pt.penalty, opts, warm).coefficients
-    assert len(calls) > 3 * on_path
+    fit_path(prob, PathSpec(n_points=8, ratio_min=0.01, mixing=0.2), opts)
+    assert len(calls) == prob.n_groups
+    fit_path(dataclasses.replace(prob), spec, opts)
+    assert len(calls) == 2 * prob.n_groups
 
 
 def _paper_path_sweeps():
@@ -1389,10 +1395,12 @@ def test_fit_reports_the_kkt_of_its_final_gate_without_recomputing(monkeypatch):
 
 
 def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
-    # a warm-started fit forms X'r at its start, and each stop forms its
-    # own inside the KKT report that certifies it; the last such report is
-    # the fit's, with no second one after it, and a fit from zero screens
-    # X'y
+    # a fit warm-started from a point that no fit of its problem reached
+    # forms X'r at its start (here on a freshly built equal problem), and
+    # each stop forms its own inside the KKT report that certifies it; the
+    # last such report is the fit's, with no second one after it. A warm
+    # start from the problem's own last fit takes the product of that
+    # fit's last report, and a fit from zero screens X'y
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 12))
     y = X[:, :3] @ [1.0, 2.0, -1.0] + rng.standard_normal(40)
@@ -1403,9 +1411,10 @@ def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
     calls, in_kkt, reports = [], [], []
 
     def counted_gradient(cache, res):
-        before = cache._xtr
+        held = cache._xtr
         out = gradient(cache, res)
-        calls.append((bool(in_kkt), out is not before and out is not cache.xty))
+        formed = (held is None or out is not held[1]) and out is not cache.xty
+        calls.append((bool(in_kkt), formed))
         return out
 
     def counted_kkt(*args):
@@ -1418,13 +1427,14 @@ def test_a_lone_fit_takes_its_kkt_report_from_its_last_screen(monkeypatch):
 
     monkeypatch.setattr(solver_module._BlockCache, "gradient", counted_gradient)
     monkeypatch.setattr(solver_module, "kkt_residual", counted_kkt)
-    for start in (warm, None):
+    for problem, start, forms in ((dataclasses.replace(prob), warm, True), (prob, warm, False),
+                                  (prob, None, False)):
         calls.clear()
         reports.clear()
-        result = fit(prob, PenaltySpec(0.2 * lam, 0.2 * lam), warm=start)
+        result = fit(problem, PenaltySpec(0.2 * lam, 0.2 * lam), warm=start)
         assert result.converged
         first, *stops = calls
-        assert first == (False, start is not None)
+        assert first == (False, forms)
         assert stops and all(kind and formed for kind, formed in stops)
         assert len(reports) == len(stops) and result.kkt is reports[-1]
 
